@@ -17,10 +17,11 @@ use crate::expr::{bind_expr, ColLabel, Scope};
 use crate::parser::{parse_script_spanned, parse_statement};
 use crate::plan::{PlannedQuery, Planner, PlannerConfig, VirtualTables};
 use crate::sync::{Mutex, RwLock};
-use crate::telemetry::{sys, Histogram, QueryStatus, StatementProbe, Telemetry};
+use crate::telemetry::{
+    sys, Histogram, Phase, QueryLogEntry, QueryStatus, StatementClock, Telemetry,
+};
 use crate::trace::{
     AttrValue, StatementTrace, TraceCtx, TraceSampling, TraceScope, WaitClass, WaitTotals,
-    ROOT_SPAN,
 };
 use crate::value::{DataType, Row, Value};
 use crate::verify::{ParamDiscipline, SnapshotGuarantee, VerifyReport, VerifyRule};
@@ -409,6 +410,7 @@ fn normalize_cache_key(sql: &str) -> String {
 
 /// A cached physical plan tagged with the catalog version it was planned
 /// against; served only while the version still matches.
+#[derive(Clone)]
 struct CachedPlan {
     version: u64,
     planned: Arc<PlannedQuery>,
@@ -430,6 +432,16 @@ struct CachedPlan {
 /// verifier walk (never verified, or deliberately reset by the corruption
 /// test seam).
 const UNVERIFIED: u64 = u64::MAX;
+
+/// The verifier's parameter discipline for a plan that is, or is not, a
+/// template with symbolic `?` markers.
+fn discipline(template: bool) -> ParamDiscipline {
+    if template {
+        ParamDiscipline::Template
+    } else {
+        ParamDiscipline::Bound
+    }
+}
 
 /// An embedded, in-memory relational database.
 pub struct Database {
@@ -462,19 +474,21 @@ pub struct Database {
     admission: Option<Arc<crate::admission::AdmissionGate>>,
 }
 
-/// Per-statement execution state: the wall-clock deadline (derived from
-/// `statement_timeout` when the statement entered the engine, so time spent
-/// queued for admission counts against it), the memory budget shared with
-/// every operator the statement runs, and the admission permit held for the
-/// statement's whole lifetime.
+/// Per-statement execution state: the statement's clock and tentative
+/// trace, the wall-clock deadline (derived from `statement_timeout` when the
+/// statement entered the engine, so time spent queued for admission counts
+/// against it), the memory budget shared with every operator the statement
+/// runs, and the admission permit held for the statement's whole lifetime.
 struct StatementCtx {
+    /// `Some` only for statements that report to enabled telemetry.
+    clock: Option<StatementClock>,
+    /// Tentative span recorder on the clock's origin; `Some` only when the
+    /// engine's [`TraceSampling`] is on (and telemetry enabled). The
+    /// keep/drop decision happens in `finish_statement`.
+    trace: Option<TraceCtx>,
     deadline: Option<Instant>,
     budget: Arc<MemoryBudget>,
-    /// Tentative span recorder; `Some` only when the engine's
-    /// [`TraceSampling`] is on (and telemetry enabled). The keep/drop
-    /// decision happens in `finish_statement`.
-    trace: Option<TraceCtx>,
-    _permit: Option<crate::admission::AdmissionPermit>,
+    permit: Option<crate::admission::AdmissionPermit>,
 }
 
 impl StatementCtx {
@@ -487,38 +501,51 @@ impl StatementCtx {
         })
     }
 
-    /// Record one top-level phase span (`parse` / `sema` / `plan`) that
-    /// started at `from` and ends now. No-op when untraced.
-    fn record_phase(&self, name: &'static str, from: Option<Instant>) {
-        if let (Some(trace), Some(from)) = (&self.trace, from) {
-            trace.record_since(ROOT_SPAN, name, from, None, Vec::new());
-        }
+    /// End the running phase on the statement's clock, crediting it to
+    /// `phase`, and record the same interval as the phase's span when
+    /// traced. No-op without a clock.
+    fn lap(&mut self, phase: Phase) {
+        self.lap_with(phase, Vec::new);
     }
 
-    /// Record the exec span covering `from`..now (no-op when untraced or
-    /// when an inner executor path already recorded it).
-    fn record_exec(&self, from: Option<Instant>) {
-        if let (Some(trace), Some(from)) = (&self.trace, from) {
-            trace.record_exec(from, Vec::new());
-        }
+    /// [`StatementCtx::lap`] for the plan phase, whose span carries
+    /// `cache=hit|miss` and the plan's operator count.
+    fn lap_plan(&mut self, plan: &crate::plan::PhysPlan) {
+        let cache = match &self.clock {
+            Some(clock) if clock.cache_hit => "hit",
+            _ => "miss",
+        };
+        self.lap_with(Phase::Plan, || {
+            vec![
+                ("cache", AttrValue::Text(cache)),
+                ("nodes", AttrValue::Int(plan.node_count() as i64)),
+            ]
+        });
     }
 
-    /// Record the plan-phase span for a freshly planned (cache-missed)
-    /// query, annotated with its operator count.
-    fn record_plan_span(&self, from: Option<Instant>, plan: &crate::plan::PhysPlan) {
-        if let (Some(trace), Some(from)) = (&self.trace, from) {
-            trace.record_since(
-                ROOT_SPAN,
-                "plan",
-                from,
-                None,
-                vec![
-                    ("cache", AttrValue::Text("miss")),
-                    ("nodes", AttrValue::Int(plan.node_count() as i64)),
-                ],
-            );
+    fn lap_with(&mut self, phase: Phase, attrs: impl FnOnce() -> Vec<(&'static str, AttrValue)>) {
+        let Some(clock) = &mut self.clock else {
+            return;
+        };
+        let interval = clock.lap(Some(phase));
+        if let Some(trace) = &self.trace {
+            trace.record_phase(phase.name(), interval, None, attrs());
         }
     }
+}
+
+/// How a statement reaches the funnel ([`Database::run_statement`]).
+#[derive(Clone, Copy)]
+enum Entry<'a> {
+    /// Bare text (`execute_with`): plan-cache lookup, then parse and sema
+    /// on a miss.
+    Text,
+    /// A statement of `execute_script`, parsed with the script: sema runs,
+    /// the plan cache is skipped.
+    Script(&'a Statement),
+    /// A statement parsed and analyzed by `prepare`: plan-cache lookup, no
+    /// parse or sema.
+    Prepared(&'a Statement),
 }
 
 impl Default for Database {
@@ -661,7 +688,7 @@ impl Database {
 
     /// Take the catalog write lock, bumping the catalog version first so any
     /// plan cached from here on is tagged with a version that postdates the
-    /// upcoming mutation (see `plan_and_cache` for the ordering argument).
+    /// upcoming mutation (see `plan_query` for the ordering argument).
     fn write_catalog(&self) -> Result<RwLockWriteGuard<'_, Catalog>> {
         // Degraded read-only mode is enforced here, before any mutation:
         // every write statement funnels through this lock, so a wedged WAL
@@ -713,85 +740,112 @@ impl Database {
         &self.telemetry
     }
 
-    /// Look `sql` up in the plan cache (under its normalized key); a hit
-    /// requires the entry's catalog version to match the current one.
-    /// Returns the plan, whether it is a parameter template (see
-    /// [`CachedPlan::has_params`]), the entry's catalog version (used by
-    /// the verifier to decide whether snapshot-identity checks may run),
-    /// and the entry's verification marker.
-    fn cached_plan(&self, sql: &str) -> Option<(Arc<PlannedQuery>, bool, u64, Arc<AtomicU64>)> {
-        let version = self.catalog_version.load(Ordering::Acquire);
-        let key = normalize_cache_key(sql);
-        let cache = self.plan_cache.lock();
-        match cache.get(&key) {
-            Some(c) if c.version == version => {
-                self.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
-                Some((
-                    Arc::clone(&c.planned),
-                    c.has_params,
-                    c.version,
-                    Arc::clone(&c.verified_version),
-                ))
-            }
-            _ => {
-                self.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+    /// Whether `sql` may use the plan cache. `sys.*` statements never do:
+    /// their plans embed point-in-time telemetry snapshots. (A false
+    /// positive, e.g. `'sys.'` inside a literal, only bypasses the cache;
+    /// `Planner::used_virtual` backstops any miss.)
+    fn cacheable(&self, sql: &str) -> bool {
+        self.config.plan_cache && !sys::mentions_sys(sql)
     }
 
-    /// Plan a query and store it in the plan cache. With `symbolic` set the
-    /// query contains `?` markers and is planned as a reusable template
-    /// (parameters stay [`crate::expr::PhysExpr::Param`] nodes).
+    /// Look `sql` up in the plan cache (under its normalized key); a hit
+    /// requires the entry's catalog version to match the current one.
+    /// `count` bumps the hit/miss counters (serving traffic does, the
+    /// diagnostic `query_analyzed` does not).
+    fn cached_plan(&self, sql: &str, count: bool) -> Option<CachedPlan> {
+        let version = self.catalog_version.load(Ordering::Acquire);
+        let key = normalize_cache_key(sql);
+        let hit = self
+            .plan_cache
+            .lock()
+            .get(&key)
+            .filter(|c| c.version == version)
+            .cloned();
+        if count {
+            let counter = if hit.is_some() {
+                &self.plan_cache_hits
+            } else {
+                &self.plan_cache_misses
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+        hit
+    }
+
+    /// Plan `query` under the catalog read lock and, with `verify` set, run
+    /// the verifier under that same lock, so its snapshot-identity checks
+    /// compare against the exact catalog state the plan captured. A
+    /// `template` plan keeps its `?` markers symbolic. Returns the plan, the
+    /// verifier's report, and whether the plan reads a `sys.*` table.
+    fn plan_verified(
+        &self,
+        query: &Query,
+        params: &[Value],
+        template: bool,
+        verify: bool,
+    ) -> Result<(PlannedQuery, Option<VerifyReport>, bool)> {
+        let catalog = self.catalog.read();
+        let mut planner = Planner::new(&catalog, params, self.config.planner()).with_virtuals(self);
+        if template {
+            planner = planner.symbolic();
+        }
+        let planned = planner.plan_query(query)?;
+        let report = verify.then(|| {
+            crate::verify::verify_planned(
+                &planned,
+                Some(&catalog),
+                SnapshotGuarantee::Current,
+                discipline(template),
+            )
+        });
+        Ok((planned, report, planner.used_virtual()))
+    }
+
+    /// Plan a query for execution, verifying it when `verify_plans` is set.
+    /// A `cacheable` query is constant-folded once — so the cached plan, the
+    /// serving hot path, embeds pre-evaluated literals — and stored in the
+    /// plan cache; when it has parameters it plans as a template (see
+    /// [`EngineConfig::plan_cache`]) unless a parameter's value is needed at
+    /// plan time. Every other query plans with its parameter values
+    /// inlined. Returns the plan and whether it is a template.
     ///
     /// The version is read *before* planning and writers bump it *before*
     /// taking the write lock, so a plan that raced a writer is tagged with
     /// the pre-write version and can never be served against the post-write
     /// catalog — the stale-side error is always a harmless replan.
-    fn plan_and_cache(
+    fn plan_query(
         &self,
         sql: &str,
         query: &Query,
-        symbolic: bool,
-    ) -> Result<Arc<PlannedQuery>> {
+        params: &[Value],
+        cacheable: bool,
+    ) -> Result<(Arc<PlannedQuery>, bool)> {
+        let has_params = crate::plan::query_contains_params(query);
+        let cache = cacheable
+            && (!has_params
+                || !crate::plan::params_unsupported(query, self.config.materialize_ctes));
+        let template = cache && has_params;
         let version = self.catalog_version.load(Ordering::Acquire);
-        // Fold constant expressions once here so the cached plan — the
-        // serving hot path — embeds pre-evaluated literals.
-        let mut query = query.clone();
-        crate::sema::fold::fold_query(&mut query);
-        let (planned, used_virtual) = {
-            let catalog = self.catalog.read();
-            let mut planner =
-                Planner::new(&catalog, &[], self.config.planner()).with_virtuals(self);
-            if symbolic {
-                planner = planner.symbolic();
-            }
-            let planned = Arc::new(planner.plan_query(&query)?);
-            let used_virtual = planner.used_virtual();
-            // Verify under the same read lock planning ran under, so the
-            // snapshot-identity checks compare against the exact catalog
-            // state the plan captured.
-            if self.config.verify_plans {
-                let discipline = if symbolic {
-                    ParamDiscipline::Template
-                } else {
-                    ParamDiscipline::Bound
-                };
-                let report = crate::verify::verify_planned(
-                    &planned,
-                    Some(&catalog),
-                    SnapshotGuarantee::Current,
-                    discipline,
-                );
-                self.verify_outcome(report, discipline, sql)?;
-            }
-            (planned, used_virtual)
+        let folded;
+        let (query, params) = if cache {
+            let mut query = query.clone();
+            crate::sema::fold::fold_query(&mut query);
+            folded = query;
+            (&folded, &[][..])
+        } else {
+            (query, params)
         };
-        if used_virtual {
-            // Plans over `sys.*` embed point-in-time telemetry rows; serving
-            // one from the cache would freeze the metrics. (Entry points
-            // already skip the cache textually; this is the backstop.)
-            return Ok(planned);
+        let (planned, report, used_virtual) =
+            self.plan_verified(query, params, template, self.config.verify_plans)?;
+        if let Some(report) = report {
+            self.verify_outcome(report, template, sql)?;
+        }
+        let planned = Arc::new(planned);
+        // Plans over `sys.*` embed point-in-time telemetry rows; caching one
+        // would freeze the metrics. (`cacheable` already skips `sys.*` text;
+        // this is the backstop.)
+        if !cache || used_virtual {
+            return Ok((planned, template));
         }
         let key = normalize_cache_key(sql);
         let mut cache = self.plan_cache.lock();
@@ -812,7 +866,7 @@ impl Database {
             CachedPlan {
                 version,
                 planned: Arc::clone(&planned),
-                has_params: symbolic,
+                has_params: template,
                 // When the verifier is on, the plan already passed a walk at
                 // `version` above (a violation returned early), so the first
                 // cache hit can skip straight to execution.
@@ -823,7 +877,7 @@ impl Database {
                 })),
             },
         );
-        Ok(planned)
+        Ok((planned, template))
     }
 
     /// Record a verifier run in telemetry and convert its violations into a
@@ -835,14 +889,9 @@ impl Database {
     /// the statement: under-binding is reported at bind time as the clearer
     /// [`EngineError::Parameter`], and over-binding keeps its historical
     /// permissiveness.
-    fn verify_outcome(
-        &self,
-        mut report: VerifyReport,
-        discipline: ParamDiscipline,
-        sql: &str,
-    ) -> Result<()> {
+    fn verify_outcome(&self, mut report: VerifyReport, template: bool, sql: &str) -> Result<()> {
         self.record_verify(&report);
-        if discipline == ParamDiscipline::Template {
+        if template {
             report
                 .violations
                 .retain(|v| v.rule != VerifyRule::ParamSlots);
@@ -866,48 +915,42 @@ impl Database {
     /// makes the entry stale-but-harmless (the next lookup replans), not a
     /// violation.
     ///
-    /// The walk is memoized per catalog version through `verified`: the
-    /// cached tree is immutable and the verdict is deterministic in (plan,
-    /// catalog version), so only the first hit after a plan insert, a
-    /// catalog change, or a marker reset pays for the walk. A failed walk
-    /// never updates the marker — a corrupt entry is re-rejected on every
-    /// execution until it is evicted or replaced.
-    fn verify_cached(
-        &self,
-        planned: &PlannedQuery,
-        has_params: bool,
-        version: u64,
-        verified: &AtomicU64,
-        sql: &str,
-    ) -> Result<()> {
+    /// The walk is memoized per catalog version through the entry's
+    /// `verified_version`: the cached tree is immutable and the verdict is
+    /// deterministic in (plan, catalog version), so only the first hit after
+    /// a plan insert, a catalog change, or a marker reset pays for the walk.
+    /// A failed walk never updates the marker — a corrupt entry is
+    /// re-rejected on every execution until it is evicted or replaced.
+    fn verify_cached(&self, entry: &CachedPlan, sql: &str) -> Result<()> {
         if !self.config.verify_plans {
             return Ok(());
         }
-        let discipline = if has_params {
-            ParamDiscipline::Template
-        } else {
-            ParamDiscipline::Bound
-        };
+        let discipline = discipline(entry.has_params);
         let (report, current) = {
             let catalog = self.catalog.read();
             let current = self.catalog_version.load(Ordering::Acquire);
-            if verified.load(Ordering::Acquire) == current {
+            if entry.verified_version.load(Ordering::Acquire) == current {
                 return Ok(());
             }
-            let report = if current == version {
+            let report = if current == entry.version {
                 crate::verify::verify_planned(
-                    planned,
+                    &entry.planned,
                     Some(&catalog),
                     SnapshotGuarantee::Current,
                     discipline,
                 )
             } else {
-                crate::verify::verify_planned(planned, None, SnapshotGuarantee::MayLag, discipline)
+                crate::verify::verify_planned(
+                    &entry.planned,
+                    None,
+                    SnapshotGuarantee::MayLag,
+                    discipline,
+                )
             };
             (report, current)
         };
-        self.verify_outcome(report, discipline, sql)?;
-        verified.store(current, Ordering::Release);
+        self.verify_outcome(report, entry.has_params, sql)?;
+        entry.verified_version.store(current, Ordering::Release);
         Ok(())
     }
 
@@ -938,35 +981,24 @@ impl Database {
         }
     }
 
-    /// Execute a cached (or just-cached) planned query.
-    fn execute_planned(
+    /// Execute a planned query. A template first binds its parameter values
+    /// into a fresh plan tree; other plans run as-is.
+    fn execute_query(
         &self,
         planned: &PlannedQuery,
-        ctx: &StatementCtx,
-    ) -> Result<StatementResult> {
-        self.record_plan_modes(&planned.plan);
-        let rows = self.run_plan(&planned.plan, ctx)?;
-        Ok(StatementResult::Rows(QueryResult {
-            columns: planned.columns.clone(),
-            rows,
-        }))
-    }
-
-    /// Execute a plan served from the cache: templates bind their parameter
-    /// values into a fresh plan tree first, parameterless plans run as-is.
-    fn execute_cached(
-        &self,
-        planned: &PlannedQuery,
-        has_params: bool,
+        template: bool,
         params: &[Value],
         ctx: &StatementCtx,
     ) -> Result<StatementResult> {
-        if !has_params {
-            return self.execute_planned(planned, ctx);
-        }
-        let plan = crate::plan::bind_plan_params(&planned.plan, params)?;
-        self.record_plan_modes(&plan);
-        let rows = self.run_plan(&plan, ctx)?;
+        let bound;
+        let plan = if template {
+            bound = crate::plan::bind_plan_params(&planned.plan, params)?;
+            &bound
+        } else {
+            &planned.plan
+        };
+        self.record_plan_modes(plan);
+        let rows = self.run_plan(plan, ctx)?;
         Ok(StatementResult::Rows(QueryResult {
             columns: planned.columns.clone(),
             rows,
@@ -974,24 +1006,28 @@ impl Database {
     }
 
     /// Run a plan to rows. Untraced statements take the plain executor path
-    /// unchanged; traced statements run with stats collection and record the
-    /// exec span plus the per-operator subtree (the same `OpStats` tree
-    /// `EXPLAIN ANALYZE` renders, so the two agree by construction).
+    /// unchanged; traced statements go through [`Database::run_traced`].
     fn run_plan(&self, plan: &crate::plan::PhysPlan, ctx: &StatementCtx) -> Result<Vec<Row>> {
-        let Some(trace) = &ctx.trace else {
+        if ctx.trace.is_none() {
             return self.exec_ctx(ctx).execute(plan);
-        };
-        let from = Instant::now();
-        let result = self.exec_ctx(ctx).execute_with_stats(plan);
-        let exec_start = trace.offset_us(from);
-        trace.record_exec(from, Vec::new());
-        match result {
-            Ok((rows, stats)) => {
-                trace.record_op_tree(&stats, exec_start);
-                Ok(rows)
-            }
-            Err(e) => Err(e),
         }
+        self.run_traced(plan, ctx).map(|(rows, _)| rows)
+    }
+
+    /// Run a plan with stats collection and record the per-operator subtree
+    /// under the exec span (the same `OpStats` tree `EXPLAIN ANALYZE`
+    /// renders, so the two agree by construction). The operators start where
+    /// the running exec phase started on the statement's clock.
+    fn run_traced(
+        &self,
+        plan: &crate::plan::PhysPlan,
+        ctx: &StatementCtx,
+    ) -> Result<(Vec<Row>, OpStats)> {
+        let (rows, stats) = self.exec_ctx(ctx).execute_with_stats(plan)?;
+        if let (Some(trace), Some(clock)) = (&ctx.trace, &ctx.clock) {
+            trace.record_op_tree(&stats, clock.mark_us());
+        }
+        Ok((rows, stats))
     }
 
     /// Count how many mode-capable operators of an executed plan take the
@@ -1006,46 +1042,64 @@ impl Database {
         self.telemetry.row_ops.add(row);
     }
 
-    /// Begin one statement: derive its deadline from `statement_timeout`,
-    /// pass the admission gate (which may queue or shed), and allocate its
-    /// memory budget. The returned context is threaded through the whole
-    /// execution path; dropping it (at the end of the statement, or during a
-    /// panic unwind) releases the admission slot.
-    fn begin_statement(&self) -> Result<StatementCtx> {
-        let deadline = self
-            .config
-            .statement_timeout
-            .map(|limit| Instant::now() + limit);
-        // The trace origin predates admission so queue wait lands inside the
-        // statement's span tree.
-        let trace =
-            (self.telemetry.enabled() && self.config.trace_sampling.is_on()).then(TraceCtx::new);
-        let permit = match &self.admission {
-            Some(gate) => Some(gate.admit(deadline)?),
-            None => None,
+    /// A fresh statement context on `clock`: a tentative trace when sampling
+    /// is on, the deadline from `statement_timeout`, and the memory budget.
+    fn statement_ctx(&self, clock: Option<StatementClock>) -> StatementCtx {
+        let deadline = self.config.statement_timeout.map(|limit| {
+            clock
+                .as_ref()
+                .map_or_else(Instant::now, StatementClock::origin)
+                + limit
+        });
+        let trace = clock
+            .as_ref()
+            .filter(|_| self.config.trace_sampling.is_on())
+            .map(|clock| TraceCtx::new(clock.origin()));
+        StatementCtx {
+            clock,
+            trace,
+            deadline,
+            budget: Arc::new(match self.config.memory_budget {
+                Some(limit) => MemoryBudget::limited(limit),
+                None => MemoryBudget::unlimited(),
+            }),
+            permit: None,
+        }
+    }
+
+    /// Pass the admission gate, which may queue or shed. The permit is held
+    /// until the context drops (at the end of the statement, or during a
+    /// panic unwind). On the statement's clock one reading ends admission
+    /// and starts the first phase; a traced statement that queued records
+    /// its wait as a span ending there.
+    fn admit(&self, ctx: &mut StatementCtx) -> Result<()> {
+        if let Some(gate) = &self.admission {
+            ctx.permit = Some(gate.admit(ctx.deadline)?);
+        }
+        let Some(clock) = &mut ctx.clock else {
+            return Ok(());
         };
-        if let (Some(trace), Some(waited)) = (&trace, permit.as_ref().and_then(|p| p.queue_wait()))
-        {
-            let now = Instant::now();
-            let from = now.checked_sub(waited).unwrap_or(now);
-            trace.record_since(
-                ROOT_SPAN,
+        clock.lap(None);
+        let waited = ctx.permit.as_ref().and_then(|p| p.queue_wait());
+        if let (Some(trace), Some(waited)) = (&ctx.trace, waited) {
+            let end_us = clock.mark_us();
+            let waited_us = (waited.as_micros() as u64).min(end_us);
+            trace.record_phase(
                 "admission.queue_wait",
-                from,
+                (end_us - waited_us, waited_us),
                 Some(WaitClass::Admission),
                 Vec::new(),
             );
         }
-        let budget = Arc::new(match self.config.memory_budget {
-            Some(limit) => MemoryBudget::limited(limit),
-            None => MemoryBudget::unlimited(),
-        });
-        Ok(StatementCtx {
-            deadline,
-            budget,
-            trace,
-            _permit: permit,
-        })
+        Ok(())
+    }
+
+    /// An untimed statement context past the admission gate, for work that
+    /// writes no query-log row (`query_analyzed`, bulk loads).
+    fn admitted(&self) -> Result<StatementCtx> {
+        let mut ctx = self.statement_ctx(None);
+        self.admit(&mut ctx)?;
+        Ok(ctx)
     }
 
     /// The execution context queries run under: the configured parallelism
@@ -1095,195 +1149,145 @@ impl Database {
     /// inside subquery bodies, or any parameter under materialized CTEs),
     /// which plan inline and stay uncached.
     pub fn execute_with(&self, sql: &str, params: &[Value]) -> Result<StatementResult> {
-        let mut probe = StatementProbe::start(self.telemetry.enabled());
-        let (result, peak_mem, trace) = match self.begin_statement() {
-            Ok(mut ctx) => {
-                let r = self.execute_probed(sql, params, &mut probe, &ctx);
-                (r, ctx.budget.peak_bytes(), ctx.trace.take())
-            }
-            Err(e) => (Err(e), 0, None),
-        };
-        let result = result.map_err(|e| e.with_statement_span(sql));
-        self.finish_statement(&probe, sql, &result, peak_mem, trace);
+        self.run_statement(sql, Entry::Text, params)
+    }
+
+    /// The statement funnel: every SQL statement runs through here, timed
+    /// by one clock that starts before admission (with telemetry on). It
+    /// owns admission, the deadline and memory budget, the plan-cache
+    /// lookup, verification, execution and the finish bookkeeping.
+    fn run_statement(
+        &self,
+        sql: &str,
+        entry: Entry<'_>,
+        params: &[Value],
+    ) -> Result<StatementResult> {
+        let mut ctx = self.statement_ctx(self.telemetry.enabled().then(StatementClock::start));
+        let result = self
+            .admit(&mut ctx)
+            .and_then(|()| self.run_phases(sql, entry, params, &mut ctx))
+            .map_err(|e| e.with_statement_span(sql));
+        self.finish_statement(ctx, sql, &result);
         result
     }
 
-    /// The body of [`Database::execute_with`], with phase boundaries reported
-    /// into `probe` (every lap is a no-op when telemetry is off).
-    fn execute_probed(
+    /// The phases of one admitted statement, each lapped on its clock:
+    /// parse, sema, plan and exec, as far as `entry` runs them. A cache hit
+    /// skips parse and sema; its lookup and verifier walk count as plan.
+    /// On a miss the lookup counts toward the first phase that runs.
+    fn run_phases(
         &self,
         sql: &str,
+        entry: Entry<'_>,
         params: &[Value],
-        probe: &mut StatementProbe,
-        ctx: &StatementCtx,
+        ctx: &mut StatementCtx,
     ) -> Result<StatementResult> {
-        // `sys.*` statements never touch the plan cache: their plans embed
-        // point-in-time telemetry snapshots.
-        if self.config.plan_cache && !sys::mentions_sys(sql) {
-            if let Some((planned, has_params, version, verified)) = self.cached_plan(sql) {
-                probe.cache_hit = true;
-                let t = probe.phase();
-                let verify_result =
-                    self.verify_cached(&planned, has_params, version, &verified, sql);
-                // The verifier's (memoized) walk stands in for the skipped
-                // plan phase in the trace, tagged as a cache hit.
-                if let (Some(trace), Some(from)) = (&ctx.trace, t) {
-                    trace.record_since(
-                        ROOT_SPAN,
-                        "plan",
-                        from,
-                        None,
-                        vec![
-                            ("cache", AttrValue::Text("hit")),
-                            ("nodes", AttrValue::Int(planned.plan.node_count() as i64)),
-                        ],
-                    );
+        let cacheable = !matches!(entry, Entry::Script(_)) && self.cacheable(sql);
+        let (planned, template) = match cacheable.then(|| self.cached_plan(sql, true)).flatten() {
+            Some(hit) => {
+                if let Some(clock) = &mut ctx.clock {
+                    clock.cache_hit = true;
                 }
-                let result = verify_result
-                    .and_then(|()| self.execute_cached(&planned, has_params, params, ctx));
-                probe.lap_exec(t);
-                return result;
+                self.verify_cached(&hit, sql)?;
+                ctx.lap_plan(&hit.planned.plan);
+                (hit.planned, hit.has_params)
             }
-        }
-        let t = probe.phase();
-        let stmt = parse_statement(sql)?;
-        probe.lap_parse(t);
-        ctx.record_phase("parse", t);
-        let t = probe.phase();
-        self.analyze_statement(&stmt)?;
-        probe.lap_sema(t);
-        ctx.record_phase("sema", t);
-        if let Statement::Query(query) = &stmt {
-            return self.execute_query_probed(sql, query, params, probe, ctx);
-        }
-        // DML / DDL / transaction control interleave planning with catalog
-        // writes; attribute the whole tail to the exec phase.
-        let t = probe.phase();
-        let result = self.execute_statement(sql, &stmt, params, ctx);
-        probe.lap_exec(t);
-        ctx.record_exec(t);
-        result
-    }
-
-    /// Plan-cache-aware execution of a parsed query on a cache miss: plan
-    /// (symbolically when parameterized and template-safe), cache, execute.
-    /// Shared by [`Database::execute_with`] and [`Prepared::execute`] so
-    /// the two record identical phase timings and cache telemetry.
-    fn execute_query_probed(
-        &self,
-        sql: &str,
-        query: &Query,
-        params: &[Value],
-        probe: &mut StatementProbe,
-        ctx: &StatementCtx,
-    ) -> Result<StatementResult> {
-        let has_params = crate::plan::query_contains_params(query);
-        let cacheable = self.config.plan_cache
-            && !sys::mentions_sys(sql)
-            && (!has_params
-                || !crate::plan::params_unsupported(query, self.config.materialize_ctes));
-        let t = probe.phase();
-        if cacheable {
-            let planned = self.plan_and_cache(sql, query, has_params)?;
-            probe.lap_plan(t);
-            ctx.record_plan_span(t, &planned.plan);
-            let t = probe.phase();
-            let result = self.execute_cached(&planned, has_params, params, ctx);
-            probe.lap_exec(t);
-            return result;
-        }
-        // Plan under the read lock; execute on snapshots afterwards.
-        let planned = {
-            let catalog = self.catalog.read();
-            let mut planner =
-                Planner::new(&catalog, params, self.config.planner()).with_virtuals(self);
-            let planned = Arc::new(planner.plan_query(query)?);
-            if self.config.verify_plans {
-                let report = crate::verify::verify_planned(
-                    &planned,
-                    Some(&catalog),
-                    SnapshotGuarantee::Current,
-                    ParamDiscipline::Bound,
-                );
-                self.verify_outcome(report, ParamDiscipline::Bound, sql)?;
+            None => {
+                let parsed;
+                let stmt = match entry {
+                    Entry::Text => {
+                        parsed = parse_statement(sql)?;
+                        ctx.lap(Phase::Parse);
+                        &parsed
+                    }
+                    Entry::Script(stmt) | Entry::Prepared(stmt) => stmt,
+                };
+                if !matches!(entry, Entry::Prepared(_)) {
+                    // Per statement, also in scripts: earlier statements may
+                    // create the tables later ones refer to.
+                    self.analyze_statement(stmt)?;
+                    ctx.lap(Phase::Sema);
+                }
+                let Statement::Query(query) = stmt else {
+                    // DML / DDL / transaction control interleave planning
+                    // with catalog writes; the whole tail is exec.
+                    let result = self.execute_statement(sql, stmt, params, ctx);
+                    ctx.lap(Phase::Exec);
+                    return result;
+                };
+                let planned = self.plan_query(sql, query, params, cacheable)?;
+                ctx.lap_plan(&planned.0.plan);
+                planned
             }
-            planned
         };
-        probe.lap_plan(t);
-        ctx.record_plan_span(t, &planned.plan);
-        let t = probe.phase();
-        let result = self.execute_planned(&planned, ctx);
-        probe.lap_exec(t);
+        let result = self.execute_query(&planned, template, params, ctx);
+        ctx.lap(Phase::Exec);
         result
     }
 
-    /// Report one finished statement to the telemetry registry: per-variant
-    /// error counters, budget-abort counter, and the query-log entry with
-    /// the statement's peak operator memory and its wait totals (backfilled
-    /// from the trace when one was captured). Runs the trace keep decision
-    /// last — errors and slow statements always, the rest per the sampler —
-    /// and stores kept traces in the `sys.trace_spans` ring.
-    fn finish_statement(
-        &self,
-        probe: &StatementProbe,
-        sql: &str,
-        result: &Result<StatementResult>,
-        peak_mem: u64,
-        trace: Option<TraceCtx>,
-    ) {
+    /// Report one finished statement to the telemetry registry: per-family
+    /// error counters, then — when the statement ran on a clock, whose total
+    /// is read once here — the query-log entry with its phase timings, peak
+    /// operator memory and wait totals (from the trace when one was
+    /// captured). Runs the trace keep decision last — errors and slow
+    /// statements always, the rest per the sampler — and stores kept traces
+    /// in the `sys.trace_spans` ring.
+    fn finish_statement(&self, mut ctx: StatementCtx, sql: &str, result: &Result<StatementResult>) {
+        // Free the admission slot before the bookkeeping.
+        ctx.permit = None;
         if let Err(e) = result {
             self.telemetry.record_error(e);
-            if self.telemetry.enabled() && matches!(e, EngineError::ResourceExhausted { .. }) {
-                self.telemetry.mem_budget_aborts.incr();
-            }
         }
-        if !probe.enabled() {
+        let Some(clock) = ctx.clock else {
             return;
-        }
-        let waits = trace.as_ref().map(|t| WaitTotals::from_spans(&t.spans()));
-        let id = match result {
-            Ok(r) => self.telemetry.record_statement(
-                probe,
-                sql,
-                QueryStatus::Ok,
-                None,
-                r.affected() as u64,
-                peak_mem,
-                waits,
-            ),
+        };
+        let total_us = clock.total_us();
+        let spans = ctx.trace.map(|trace| trace.finish("statement", total_us));
+        let waits = spans.as_deref().map(WaitTotals::from_spans);
+        let (status, error, rows) = match result {
+            Ok(r) => (QueryStatus::Ok, None, r.affected() as u64),
             Err(e) => {
                 let status = if matches!(e, EngineError::Timeout) {
                     QueryStatus::Timeout
                 } else {
                     QueryStatus::Error
                 };
-                self.telemetry.record_statement(
-                    probe,
-                    sql,
-                    status,
-                    Some(e.to_string()),
-                    0,
-                    peak_mem,
-                    waits,
-                )
+                (status, Some(e.to_string()), 0)
             }
         };
-        if let (Some(trace), Some(id)) = (trace, id) {
-            let total_us = probe.total_us();
+        let id = self.telemetry.record_statement(QueryLogEntry {
+            id: 0,
+            sql: sql.to_string(),
+            status,
+            error,
+            cache_hit: clock.cache_hit,
+            slow: false,
+            parse_us: clock.parse_us,
+            sema_us: clock.sema_us,
+            plan_us: clock.plan_us,
+            exec_us: clock.exec_us,
+            total_us,
+            rows,
+            peak_mem_bytes: ctx.budget.peak_bytes(),
+            queue_wait_us: waits.map(|w| w.queue_wait_us),
+            fsync_wait_us: waits.map(|w| w.fsync_wait_us),
+            retry_count: waits.map(|w| w.retry_count),
+        });
+        if let (Some(spans), Some(id)) = (spans, id) {
             let error_or_slow = result.is_err() || self.telemetry.is_slow(total_us);
             if self.config.trace_sampling.keep(id, error_or_slow) {
                 self.telemetry.store_trace(StatementTrace {
                     statement_id: id,
-                    spans: trace.finish("statement", total_us),
+                    spans,
                 });
             }
         }
     }
 
     /// Execute a semicolon-separated script; returns the last statement's
-    /// result. Each statement is logged individually (spans recover the
-    /// original text), so script-driven clients show up in `sys.query_log`
-    /// like everyone else.
+    /// result. Each statement runs through the funnel on its own (spans
+    /// recover the original text), so script-driven clients show up in
+    /// `sys.query_log` like everyone else.
     pub fn execute_script(&self, sql: &str) -> Result<StatementResult> {
         let stmts = parse_script_spanned(sql)?;
         let mut last = StatementResult::Affected(0);
@@ -1292,30 +1296,7 @@ impl Database {
                 .get(span.start as usize..span.end as usize)
                 .unwrap_or(sql)
                 .trim();
-            let mut probe = StatementProbe::start(self.telemetry.enabled());
-            let (result, peak_mem, trace) = match self.begin_statement() {
-                Ok(mut ctx) => {
-                    let r = (|| {
-                        // Checked per statement (not up front): earlier
-                        // statements may create the tables later ones refer
-                        // to.
-                        let t = probe.phase();
-                        self.analyze_statement(stmt)?;
-                        probe.lap_sema(t);
-                        ctx.record_phase("sema", t);
-                        let t = probe.phase();
-                        let r = self.execute_statement(text, stmt, &[], &ctx)?;
-                        probe.lap_exec(t);
-                        ctx.record_exec(t);
-                        Ok(r)
-                    })();
-                    (r, ctx.budget.peak_bytes(), ctx.trace.take())
-                }
-                Err(e) => (Err(e), 0, None),
-            };
-            let result = result.map_err(|e| e.with_statement_span(text));
-            self.finish_statement(&probe, text, &result, peak_mem, trace);
-            last = result?;
+            last = self.run_statement(text, Entry::Script(stmt), &[])?;
         }
         Ok(last)
     }
@@ -1386,13 +1367,11 @@ impl Database {
     /// Render the physical plan of a query (an `EXPLAIN` equivalent).
     pub fn explain(&self, sql: &str) -> Result<String> {
         let stmt = parse_statement(sql)?;
-        let Statement::Query(query) = stmt else {
+        let Statement::Query(query) = &stmt else {
             return Err(EngineError::plan("EXPLAIN supports only SELECT queries"));
         };
-        let catalog = self.catalog.read();
-        crate::sema::check_query(&catalog, &query)?;
-        let mut planner = Planner::new(&catalog, &[], self.config.planner()).with_virtuals(self);
-        let planned = planner.plan_query(&query)?;
+        self.analyze_statement(&stmt)?;
+        let (planned, ..) = self.plan_verified(query, &[], false, false)?;
         Ok(crate::explain::render_plan(&planned.plan))
     }
 
@@ -1400,57 +1379,32 @@ impl Database {
     /// tree (rows in/out and elapsed time per operator).
     pub fn query_analyzed(&self, sql: &str) -> Result<(QueryResult, OpStats)> {
         let stmt = parse_statement(sql)?;
-        let Statement::Query(query) = stmt else {
+        let Statement::Query(query) = &stmt else {
             return Err(EngineError::plan("ANALYZE supports only SELECT queries"));
         };
-        let stmt_ctx = self.begin_statement()?;
+        let ctx = self.admitted()?;
         // Serve the plan from the cache when one exists, so ANALYZE observes
         // (and the verifier vets) the very tree repeated executions use.
         // Parameter templates are skipped — there are no values to bind
         // here — and the hit/miss counters are left alone: ANALYZE is a
         // diagnostic read, not serving traffic.
-        let cached = if self.config.plan_cache && !sys::mentions_sys(sql) {
-            let version = self.catalog_version.load(Ordering::Acquire);
-            let key = normalize_cache_key(sql);
-            let cache = self.plan_cache.lock();
-            cache
-                .get(&key)
-                .filter(|c| c.version == version && !c.has_params)
-                .map(|c| {
-                    (
-                        Arc::clone(&c.planned),
-                        c.version,
-                        Arc::clone(&c.verified_version),
-                    )
-                })
-        } else {
-            None
-        };
+        let cached = self
+            .cacheable(sql)
+            .then(|| self.cached_plan(sql, false))
+            .flatten()
+            .filter(|c| !c.has_params);
         let planned = match cached {
-            Some((planned, version, verified)) => {
-                self.verify_cached(&planned, false, version, &verified, sql)?;
-                planned
+            Some(entry) => {
+                self.verify_cached(&entry, sql)?;
+                entry.planned
             }
             None => {
-                let catalog = self.catalog.read();
-                crate::sema::check_query(&catalog, &query)?;
-                let mut planner =
-                    Planner::new(&catalog, &[], self.config.planner()).with_virtuals(self);
-                let planned = Arc::new(planner.plan_query(&query)?);
-                if self.config.verify_plans {
-                    let report = crate::verify::verify_planned(
-                        &planned,
-                        Some(&catalog),
-                        SnapshotGuarantee::Current,
-                        ParamDiscipline::Bound,
-                    );
-                    self.verify_outcome(report, ParamDiscipline::Bound, sql)?;
-                }
-                planned
+                self.analyze_statement(&stmt)?;
+                self.plan_query(sql, query, &[], false)?.0
             }
         };
         self.record_plan_modes(&planned.plan);
-        let (rows, stats) = self.exec_ctx(&stmt_ctx).execute_with_stats(&planned.plan)?;
+        let (rows, stats) = self.exec_ctx(&ctx).execute_with_stats(&planned.plan)?;
         self.telemetry.record_op_stats(&stats);
         Ok((
             QueryResult {
@@ -1496,7 +1450,7 @@ impl Database {
     pub fn restore_table(&self, mut table: Table, rows: Vec<Row>) -> Result<()> {
         // Pass the admission gate like any other statement; `install_table`
         // itself stays ungated so internal callers cannot self-deadlock.
-        let _ctx = self.begin_statement()?;
+        let _ctx = self.admitted()?;
         for row in rows {
             table.insert_row(row, None)?;
         }
@@ -1564,7 +1518,7 @@ impl Database {
     /// Bulk-insert pre-built rows into a table (fast path used by data
     /// generators; equivalent to `INSERT INTO t VALUES ...`).
     pub fn insert_rows(&self, table: &str, rows: Vec<Row>) -> Result<usize> {
-        let ctx = self.begin_statement()?;
+        let ctx = self.admitted()?;
         let mut catalog = self.write_catalog()?;
         let t = catalog.get_mut(table)?;
         let wal_on = self.wal.is_some();
@@ -1618,33 +1572,11 @@ impl Database {
         params: &[Value],
         ctx: &StatementCtx,
     ) -> Result<StatementResult> {
+        use crate::ast::ExplainMode;
         match stmt {
-            Statement::Query(query) => {
-                // Plan under the read lock; execute on snapshots afterwards.
-                let planned = {
-                    let catalog = self.catalog.read();
-                    let mut planner =
-                        Planner::new(&catalog, params, self.config.planner()).with_virtuals(self);
-                    let planned = planner.plan_query(query)?;
-                    if self.config.verify_plans {
-                        let report = crate::verify::verify_planned(
-                            &planned,
-                            Some(&catalog),
-                            SnapshotGuarantee::Current,
-                            ParamDiscipline::Bound,
-                        );
-                        self.verify_outcome(report, ParamDiscipline::Bound, sql)?;
-                    }
-                    planned
-                };
-                let rows = self.exec_ctx(ctx).execute(&planned.plan)?;
-                Ok(StatementResult::Rows(QueryResult {
-                    columns: planned.columns,
-                    rows,
-                }))
-            }
+            Statement::Query(_) => unreachable!("queries run through Database::run_phases"),
             Statement::Explain { mode, query } => {
-                if *mode == crate::ast::ExplainMode::Check {
+                if *mode == ExplainMode::Check {
                     // Semantic analysis only: report the typed output schema
                     // without planning or executing anything.
                     let report = {
@@ -1666,32 +1598,24 @@ impl Database {
                 // is an explicit request); `EXPLAIN ANALYZE` and
                 // `EXPLAIN (TRACE)` vet the plan first whenever verification
                 // is on, so a rejected plan is reported instead of executed.
-                let verify_now = *mode == crate::ast::ExplainMode::Verify
-                    || (matches!(
-                        mode,
-                        crate::ast::ExplainMode::Analyze | crate::ast::ExplainMode::Trace
-                    ) && self.config.verify_plans);
-                // `EXPLAIN (TRACE)` forces a local trace regardless of the
-                // engine's sampling policy; its origin predates planning so
-                // the plan span has a true offset.
-                let trace = (*mode == crate::ast::ExplainMode::Trace).then(TraceCtx::new);
-                let plan_from = trace.as_ref().map(|_| Instant::now());
-                let (planned, report) = {
-                    let catalog = self.catalog.read();
-                    let mut planner =
-                        Planner::new(&catalog, params, self.config.planner()).with_virtuals(self);
-                    let planned = planner.plan_query(query)?;
-                    let report = verify_now.then(|| {
-                        crate::verify::verify_planned(
-                            &planned,
-                            Some(&catalog),
-                            SnapshotGuarantee::Current,
-                            ParamDiscipline::Bound,
-                        )
-                    });
-                    (planned, report)
-                };
-                if *mode == crate::ast::ExplainMode::Verify {
+                let analyze = matches!(mode, ExplainMode::Analyze | ExplainMode::Trace);
+                let verify_now =
+                    *mode == ExplainMode::Verify || (analyze && self.config.verify_plans);
+                // `EXPLAIN (TRACE)` traces on a local clock whatever the
+                // sampling policy; the clock starts before planning so the
+                // plan span has a true offset.
+                let mut traced = (*mode == ExplainMode::Trace).then(|| {
+                    let clock = StatementClock::start();
+                    StatementCtx {
+                        trace: Some(TraceCtx::new(clock.origin())),
+                        clock: Some(clock),
+                        deadline: ctx.deadline,
+                        budget: Arc::clone(&ctx.budget),
+                        permit: None,
+                    }
+                });
+                let (planned, report, _) = self.plan_verified(query, params, false, verify_now)?;
+                if *mode == ExplainMode::Verify {
                     let report = report.expect("verify mode always computes a report");
                     self.record_verify(&report);
                     return Ok(StatementResult::Rows(QueryResult {
@@ -1722,44 +1646,33 @@ impl Database {
                             .collect(),
                     }));
                 }
-                let rendered = match mode {
-                    crate::ast::ExplainMode::Analyze => {
-                        if let Some(report) = report {
-                            self.verify_outcome(report, ParamDiscipline::Bound, sql)?;
-                        }
-                        let (_, stats) = self.exec_ctx(ctx).execute_with_stats(&planned.plan)?;
-                        self.telemetry.record_op_stats(&stats);
-                        crate::explain::render_analyze(&stats)
+                let rendered = if analyze {
+                    if let Some(report) = report {
+                        self.verify_outcome(report, false, sql)?;
                     }
-                    crate::ast::ExplainMode::Trace => {
-                        if let Some(report) = report {
-                            self.verify_outcome(report, ParamDiscipline::Bound, sql)?;
+                    self.record_plan_modes(&planned.plan);
+                    let stats = match &mut traced {
+                        None => self.exec_ctx(ctx).execute_with_stats(&planned.plan)?.1,
+                        Some(local) => {
+                            local.lap_plan(&planned.plan);
+                            let run = self.run_traced(&planned.plan, local);
+                            local.lap(Phase::Exec);
+                            run?.1
                         }
-                        let trace = trace.expect("trace mode allocates its recorder");
-                        if let Some(from) = plan_from {
-                            trace.record_since(
-                                ROOT_SPAN,
-                                "plan",
-                                from,
-                                None,
-                                vec![
-                                    ("cache", AttrValue::Text("miss")),
-                                    ("nodes", AttrValue::Int(planned.plan.node_count() as i64)),
-                                ],
-                            );
+                    };
+                    self.telemetry.record_op_stats(&stats);
+                    match traced {
+                        None => crate::explain::render_analyze(&stats),
+                        Some(local) => {
+                            let total_us = local.clock.as_ref().map_or(0, StatementClock::total_us);
+                            let trace = local.trace.expect("EXPLAIN (TRACE) traces locally");
+                            crate::explain::render_trace(&trace.finish("statement", total_us))
                         }
-                        let exec_from = Instant::now();
-                        let (_, stats) = self.exec_ctx(ctx).execute_with_stats(&planned.plan)?;
-                        let exec_start = trace.offset_us(exec_from);
-                        trace.record_exec(exec_from, Vec::new());
-                        trace.record_op_tree(&stats, exec_start);
-                        self.telemetry.record_op_stats(&stats);
-                        let total_us = trace.origin().elapsed().as_micros() as u64;
-                        crate::explain::render_trace(&trace.finish("statement", total_us))
                     }
-                    _ => crate::explain::render_plan(&planned.plan),
+                } else {
+                    crate::explain::render_plan(&planned.plan)
                 };
-                let column = if *mode == crate::ast::ExplainMode::Trace {
+                let column = if *mode == ExplainMode::Trace {
                     "trace"
                 } else {
                     "plan"
@@ -1855,12 +1768,7 @@ impl Database {
                 if_not_exists,
                 query,
             } => {
-                let planned = {
-                    let catalog = self.catalog.read();
-                    let mut planner =
-                        Planner::new(&catalog, params, self.config.planner()).with_virtuals(self);
-                    planner.plan_query(query)?
-                };
+                let (planned, ..) = self.plan_verified(query, params, false, false)?;
                 let rows = self.exec_ctx(ctx).execute(&planned.plan)?;
                 let columns: Vec<(String, DataType)> = planned
                     .columns
@@ -2120,12 +2028,7 @@ impl Database {
                 out
             }
             InsertSource::Query(q) => {
-                let planned = {
-                    let catalog = self.catalog.read();
-                    let mut planner =
-                        Planner::new(&catalog, params, self.config.planner()).with_virtuals(self);
-                    planner.plan_query(q)?
-                };
+                let (planned, ..) = self.plan_verified(q, params, false, false)?;
                 self.exec_ctx(ctx).execute(&planned.plan)?
             }
         };
@@ -2318,7 +2221,7 @@ fn metric(name: &str, kind: &str, value: f64) -> Row {
 }
 
 /// Append the five summary rows of one latency histogram.
-fn histogram_metrics(rows: &mut Vec<Row>, prefix: &str, h: &crate::telemetry::Histogram) {
+fn histogram_metrics(rows: &mut Vec<Row>, prefix: &str, h: &Histogram) {
     rows.push(metric(
         &format!("{prefix}.count"),
         "counter",
@@ -2360,23 +2263,12 @@ impl Database {
                 let (cc, dc) = table.chunk_stats();
                 (c + cc, d + dc)
             });
-        let mut rows = vec![
-            metric("statements.total", "counter", t.statements.get() as f64),
-            metric(
-                "statements.errors",
-                "counter",
-                t.statement_errors.get() as f64,
-            ),
-            metric(
-                "statements.timeouts",
-                "counter",
-                t.statement_timeouts.get() as f64,
-            ),
-            metric(
-                "statements.rows_returned",
-                "counter",
-                t.rows_returned.get() as f64,
-            ),
+        let mut rows: Vec<Row> = Telemetry::COUNTERS
+            .iter()
+            .map(|(name, kind, counter)| metric(name, kind, counter(t).get() as f64))
+            .collect();
+        rows.extend([
+            metric("statements.errors", "counter", t.statement_errors() as f64),
             metric("plan_cache.hits", "counter", hits as f64),
             metric("plan_cache.misses", "counter", misses as f64),
             metric("plan_cache.evictions", "counter", evictions as f64),
@@ -2386,81 +2278,20 @@ impl Database {
                 self.plan_cache.lock().len() as f64,
             ),
             metric("catalog.version", "gauge", self.catalog_version() as f64),
-            metric("wal.appends", "counter", t.wal_appends.get() as f64),
-            metric(
-                "wal.append_bytes",
-                "counter",
-                t.wal_append_bytes.get() as f64,
-            ),
-            metric("wal.fsyncs", "counter", t.wal_fsyncs.get() as f64),
-            metric("wal.checkpoints", "counter", t.wal_checkpoints.get() as f64),
-            metric(
-                "wal.checkpoint_bytes",
-                "counter",
-                t.wal_checkpoint_bytes.get() as f64,
-            ),
             metric("wal.bytes", "gauge", self.wal_bytes().unwrap_or(0) as f64),
             metric("columnar.chunks", "gauge", chunks as f64),
             metric("columnar.dict_columns", "gauge", dict_cols as f64),
-            metric(
-                "exec.vectorized_ops",
-                "counter",
-                t.vectorized_ops.get() as f64,
-            ),
-            metric("exec.row_ops", "counter", t.row_ops.get() as f64),
-            metric(
-                "verify.plans_checked",
-                "counter",
-                t.verify_plans_checked.get() as f64,
-            ),
-            metric(
-                "verify.violations",
-                "counter",
-                t.verify_violations.get() as f64,
-            ),
-            metric(
-                "admission.admitted",
-                "counter",
-                t.admission_admitted.get() as f64,
-            ),
-            metric(
-                "admission.queued",
-                "counter",
-                t.admission_queued.get() as f64,
-            ),
-            metric("admission.shed", "counter", t.admission_shed.get() as f64),
-            metric("mem.peak_bytes", "gauge", t.mem_peak_bytes.get() as f64),
-            metric(
-                "mem.budget_aborts",
-                "counter",
-                t.mem_budget_aborts.get() as f64,
-            ),
-            metric("wal.retries", "counter", t.wal_retries.get() as f64),
             metric(
                 "wal.degraded",
                 "gauge",
                 f64::from(self.wal.as_ref().is_some_and(Wal::degraded)),
             ),
-            metric("errors.timeout", "counter", t.errors_timeout.get() as f64),
-            metric("errors.wal", "counter", t.errors_wal.get() as f64),
-            metric("errors.resource", "counter", t.errors_resource.get() as f64),
-            metric(
-                "errors.overloaded",
-                "counter",
-                t.errors_overloaded.get() as f64,
-            ),
-            metric(
-                "errors.statement",
-                "counter",
-                t.errors_statement.get() as f64,
-            ),
-        ];
-        histogram_metrics(&mut rows, "phase.parse", &t.parse_us);
-        histogram_metrics(&mut rows, "phase.sema", &t.sema_us);
-        histogram_metrics(&mut rows, "phase.plan", &t.plan_us);
-        histogram_metrics(&mut rows, "phase.exec", &t.exec_us);
-        histogram_metrics(&mut rows, "statement.duration", &t.statement_us);
-        histogram_metrics(&mut rows, "wal.fsync", &t.wal_fsync_us);
+        ]);
+        for (prefix, _, hist) in Telemetry::HISTOGRAMS {
+            if let Some(prefix) = prefix {
+                histogram_metrics(&mut rows, prefix, hist(t));
+            }
+        }
         for (kind, agg) in t.op_rollups() {
             rows.push(metric(
                 &format!("op.{kind}.calls"),
@@ -2565,21 +2396,9 @@ impl Database {
     /// every latency histogram, one row per non-empty bucket.
     fn sys_histograms_rows(&self) -> Vec<Row> {
         let t = &self.telemetry;
-        let named: [(&str, &Histogram); 10] = [
-            ("phase.parse_us", &t.parse_us),
-            ("phase.sema_us", &t.sema_us),
-            ("phase.plan_us", &t.plan_us),
-            ("phase.exec_us", &t.exec_us),
-            ("statement.total_us", &t.statement_us),
-            ("wal.fsync_us", &t.wal_fsync_us),
-            ("wait.admission_us", &t.wait_admission_us),
-            ("wait.fsync_us", &t.wait_fsync_us),
-            ("wait.wal_retry_us", &t.wait_wal_retry_us),
-            ("wait.worker_idle_us", &t.wait_worker_idle_us),
-        ];
         let mut rows = Vec::new();
-        for (name, hist) in named {
-            for (i, count) in hist.bucket_counts().into_iter().enumerate() {
+        for (_, name, hist) in Telemetry::HISTOGRAMS {
+            for (i, count) in hist(t).bucket_counts().into_iter().enumerate() {
                 if count == 0 {
                     continue;
                 }
@@ -2675,67 +2494,8 @@ pub struct Prepared<'db> {
 impl Prepared<'_> {
     /// Execute with the given parameters.
     pub fn execute(&self, params: &[Value]) -> Result<StatementResult> {
-        let mut probe = StatementProbe::start(self.db.telemetry.enabled());
-        let (result, peak_mem, trace) = match self.db.begin_statement() {
-            Ok(mut ctx) => {
-                let r = self.execute_probed(params, &mut probe, &ctx);
-                (r, ctx.budget.peak_bytes(), ctx.trace.take())
-            }
-            Err(e) => (Err(e), 0, None),
-        };
-        let result = result.map_err(|e| e.with_statement_span(&self.sql));
         self.db
-            .finish_statement(&probe, &self.sql, &result, peak_mem, trace);
-        result
-    }
-
-    /// The body of [`Prepared::execute`]. Mirrors
-    /// [`Database::execute_probed`] minus the parse/sema phases (done at
-    /// prepare time), so both entry points drive the same cache and record
-    /// hits, misses, and phase laps identically.
-    fn execute_probed(
-        &self,
-        params: &[Value],
-        probe: &mut StatementProbe,
-        ctx: &StatementCtx,
-    ) -> Result<StatementResult> {
-        if self.db.config.plan_cache && !sys::mentions_sys(&self.sql) {
-            if let Some((planned, has_params, version, verified)) = self.db.cached_plan(&self.sql) {
-                probe.cache_hit = true;
-                let t = probe.phase();
-                let verify_result = self
-                    .db
-                    .verify_cached(&planned, has_params, version, &verified, &self.sql);
-                if let (Some(trace), Some(from)) = (&ctx.trace, t) {
-                    trace.record_since(
-                        ROOT_SPAN,
-                        "plan",
-                        from,
-                        None,
-                        vec![
-                            ("cache", AttrValue::Text("hit")),
-                            ("nodes", AttrValue::Int(planned.plan.node_count() as i64)),
-                        ],
-                    );
-                }
-                let result = verify_result
-                    .and_then(|()| self.db.execute_cached(&planned, has_params, params, ctx));
-                probe.lap_exec(t);
-                return result;
-            }
-        }
-        if let Statement::Query(query) = &self.stmt {
-            return self
-                .db
-                .execute_query_probed(&self.sql, query, params, probe, ctx);
-        }
-        let t = probe.phase();
-        let result = self
-            .db
-            .execute_statement(&self.sql, &self.stmt, params, ctx);
-        probe.lap_exec(t);
-        ctx.record_exec(t);
-        result
+            .run_statement(&self.sql, Entry::Prepared(&self.stmt), params)
     }
 
     /// Execute and return rows.

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use crate::exec::OpStats;
 use crate::sync::Mutex;
-use crate::trace::{StatementTrace, WaitTotals};
+use crate::trace::StatementTrace;
 
 /// A monotonically increasing event counter (relaxed atomics: totals are
 /// exact, ordering between counters is not guaranteed — fine for metrics).
@@ -247,23 +247,51 @@ pub struct ModelStats {
     pub predict_us: Histogram,
 }
 
-/// Phase timings of one in-flight statement, captured by the engine entry
-/// points. With telemetry disabled the probe never reads the clock, so the
-/// disabled configuration pays a single branch per phase.
-#[derive(Debug)]
-pub struct StatementProbe {
-    started: Option<Instant>,
-    pub cache_hit: bool,
-    pub parse_us: u64,
-    pub sema_us: u64,
-    pub plan_us: u64,
-    pub exec_us: u64,
+/// A statement phase timed by [`StatementClock`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Phase {
+    Parse,
+    Sema,
+    Plan,
+    Exec,
 }
 
-impl StatementProbe {
-    pub fn start(enabled: bool) -> StatementProbe {
-        StatementProbe {
-            started: enabled.then(Instant::now),
+impl Phase {
+    /// The phase's span name in a statement trace.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Phase::Parse => "parse",
+            Phase::Sema => "sema",
+            Phase::Plan => "plan",
+            Phase::Exec => "exec",
+        }
+    }
+}
+
+/// One statement's clock. It is read once when the statement enters the
+/// engine (before admission), once at every phase boundary — one reading
+/// ends the running phase and starts the next — and once for the total.
+/// The query-log columns, the phase histograms and a sampled trace's phase
+/// spans are all derived from these readings, so they agree by
+/// construction. With telemetry disabled the engine creates no clock and
+/// reads none.
+#[derive(Debug)]
+pub(crate) struct StatementClock {
+    origin: Instant,
+    mark: Instant,
+    pub(crate) cache_hit: bool,
+    pub(crate) parse_us: u64,
+    pub(crate) sema_us: u64,
+    pub(crate) plan_us: u64,
+    pub(crate) exec_us: u64,
+}
+
+impl StatementClock {
+    pub(crate) fn start() -> StatementClock {
+        let now = Instant::now();
+        StatementClock {
+            origin: now,
+            mark: now,
             cache_hit: false,
             parse_us: 0,
             sema_us: 0,
@@ -272,47 +300,53 @@ impl StatementProbe {
         }
     }
 
-    pub fn enabled(&self) -> bool {
-        self.started.is_some()
+    /// The statement's time origin (a trace's span offsets count from it).
+    pub(crate) fn origin(&self) -> Instant {
+        self.origin
     }
 
-    /// Start timing one phase (`None` when telemetry is disabled).
-    pub fn phase(&self) -> Option<Instant> {
-        self.started.map(|_| Instant::now())
+    /// Offset of the running phase's start from the origin, µs.
+    pub(crate) fn mark_us(&self) -> u64 {
+        micros(self.mark - self.origin)
     }
 
-    fn lap(t: Option<Instant>, slot: &mut u64) {
-        if let Some(t) = t {
-            *slot += t.elapsed().as_micros() as u64;
+    /// End the running phase now and start the next. The ended interval is
+    /// credited to `phase` (`None` for the time before the first phase,
+    /// i.e. admission) and returned as `(start_us, duration_us)` from the
+    /// origin.
+    pub(crate) fn lap(&mut self, phase: Option<Phase>) -> (u64, u64) {
+        let now = Instant::now();
+        let start_us = self.mark_us();
+        let duration_us = micros(now - self.mark);
+        self.mark = now;
+        if let Some(phase) = phase {
+            *match phase {
+                Phase::Parse => &mut self.parse_us,
+                Phase::Sema => &mut self.sema_us,
+                Phase::Plan => &mut self.plan_us,
+                Phase::Exec => &mut self.exec_us,
+            } += duration_us;
         }
+        (start_us, duration_us)
     }
 
-    pub fn lap_parse(&mut self, t: Option<Instant>) {
-        Self::lap(t, &mut self.parse_us);
+    /// Microseconds since the origin: the statement's total.
+    pub(crate) fn total_us(&self) -> u64 {
+        micros(self.origin.elapsed())
     }
+}
 
-    pub fn lap_sema(&mut self, t: Option<Instant>) {
-        Self::lap(t, &mut self.sema_us);
-    }
-
-    pub fn lap_plan(&mut self, t: Option<Instant>) {
-        Self::lap(t, &mut self.plan_us);
-    }
-
-    pub fn lap_exec(&mut self, t: Option<Instant>) {
-        Self::lap(t, &mut self.exec_us);
-    }
-
-    /// Microseconds since [`StatementProbe::start`] (0 when disabled).
-    pub fn total_us(&self) -> u64 {
-        self.started.map_or(0, |t| t.elapsed().as_micros() as u64)
-    }
+fn micros(d: Duration) -> u64 {
+    d.as_micros() as u64
 }
 
 /// The engine-wide telemetry registry. One per [`Database`]; shared with the
 /// WAL and with `bornsql` models behind `Arc`.
 ///
 /// [`Database`]: crate::Database
+///
+/// `Telemetry::default()` is a disabled registry.
+#[derive(Default)]
 pub struct Telemetry {
     enabled: bool,
     slow_threshold_us: u64,
@@ -321,8 +355,6 @@ pub struct Telemetry {
 
     // -- statement lifecycle ------------------------------------------------
     pub statements: Counter,
-    pub statement_errors: Counter,
-    pub statement_timeouts: Counter,
     pub rows_returned: Counter,
     pub parse_us: Histogram,
     pub sema_us: Histogram,
@@ -354,8 +386,6 @@ pub struct Telemetry {
     /// Statements shed with `Overloaded` (queue full, or deadline expired
     /// while queued).
     pub admission_shed: Counter,
-    /// Statements aborted by `ResourceExhausted` (memory budget).
-    pub mem_budget_aborts: Counter,
     /// Largest per-statement memory-budget peak observed (bytes).
     pub mem_peak_bytes: Counter,
     /// WAL write attempts retried after a transient storage error.
@@ -377,6 +407,8 @@ pub struct Telemetry {
 
     // -- error taxonomy ------------------------------------------------------
     /// Statement failures by error family (see `Telemetry::record_error`).
+    /// `statements.errors` is their sum, `statements.timeouts` reads
+    /// `errors.timeout` and `mem.budget_aborts` reads `errors.resource`.
     pub errors_timeout: Counter,
     pub errors_wal: Counter,
     pub errors_resource: Counter,
@@ -402,57 +434,75 @@ pub struct Telemetry {
     models: Mutex<BTreeMap<String, ModelStats>>,
 }
 
+/// How the registry's tables name a counter or histogram field.
+type Field<T> = fn(&Telemetry) -> &T;
+
 impl Telemetry {
+    /// Every counter by its `sys.metrics` name and kind. A fact is counted
+    /// once: `statements.timeouts` and `mem.budget_aborts` name the error
+    /// counters they always equal, and `statements.errors` is the sum of
+    /// the `errors.*` counters ([`Telemetry::statement_errors`]).
+    pub(crate) const COUNTERS: [(&'static str, &'static str, Field<Counter>); 23] = [
+        ("statements.total", "counter", |t| &t.statements),
+        ("statements.timeouts", "counter", |t| &t.errors_timeout),
+        ("statements.rows_returned", "counter", |t| &t.rows_returned),
+        ("wal.appends", "counter", |t| &t.wal_appends),
+        ("wal.append_bytes", "counter", |t| &t.wal_append_bytes),
+        ("wal.fsyncs", "counter", |t| &t.wal_fsyncs),
+        ("wal.checkpoints", "counter", |t| &t.wal_checkpoints),
+        ("wal.checkpoint_bytes", "counter", |t| {
+            &t.wal_checkpoint_bytes
+        }),
+        ("exec.vectorized_ops", "counter", |t| &t.vectorized_ops),
+        ("exec.row_ops", "counter", |t| &t.row_ops),
+        ("verify.plans_checked", "counter", |t| {
+            &t.verify_plans_checked
+        }),
+        ("verify.violations", "counter", |t| &t.verify_violations),
+        ("admission.admitted", "counter", |t| &t.admission_admitted),
+        ("admission.queued", "counter", |t| &t.admission_queued),
+        ("admission.shed", "counter", |t| &t.admission_shed),
+        ("mem.peak_bytes", "gauge", |t| &t.mem_peak_bytes),
+        ("mem.budget_aborts", "counter", |t| &t.errors_resource),
+        ("wal.retries", "counter", |t| &t.wal_retries),
+        ("errors.timeout", "counter", |t| &t.errors_timeout),
+        ("errors.wal", "counter", |t| &t.errors_wal),
+        ("errors.resource", "counter", |t| &t.errors_resource),
+        ("errors.overloaded", "counter", |t| &t.errors_overloaded),
+        ("errors.statement", "counter", |t| &t.errors_statement),
+    ];
+
+    /// Every latency histogram by its `sys.metrics` summary prefix (`None`
+    /// for the wait histograms, which `sys.wait_events` summarizes) and its
+    /// `sys.histograms` name.
+    pub(crate) const HISTOGRAMS: [(Option<&'static str>, &'static str, Field<Histogram>); 10] = [
+        (Some("phase.parse"), "phase.parse_us", |t| &t.parse_us),
+        (Some("phase.sema"), "phase.sema_us", |t| &t.sema_us),
+        (Some("phase.plan"), "phase.plan_us", |t| &t.plan_us),
+        (Some("phase.exec"), "phase.exec_us", |t| &t.exec_us),
+        (Some("statement.duration"), "statement.total_us", |t| {
+            &t.statement_us
+        }),
+        (Some("wal.fsync"), "wal.fsync_us", |t| &t.wal_fsync_us),
+        (None, "wait.admission_us", |t| &t.wait_admission_us),
+        (None, "wait.fsync_us", |t| &t.wait_fsync_us),
+        (None, "wait.wal_retry_us", |t| &t.wait_wal_retry_us),
+        (None, "wait.worker_idle_us", |t| &t.wait_worker_idle_us),
+    ];
+
     pub fn new(enabled: bool, slow_query_threshold: Duration, log_capacity: usize) -> Telemetry {
         Telemetry {
             enabled,
             slow_threshold_us: slow_query_threshold.as_micros() as u64,
             log_capacity: log_capacity.max(1),
             next_statement_id: AtomicU64::new(1),
-            statements: Counter::default(),
-            statement_errors: Counter::default(),
-            statement_timeouts: Counter::default(),
-            rows_returned: Counter::default(),
-            parse_us: Histogram::default(),
-            sema_us: Histogram::default(),
-            plan_us: Histogram::default(),
-            exec_us: Histogram::default(),
-            statement_us: Histogram::default(),
-            wal_appends: Counter::default(),
-            wal_append_bytes: Counter::default(),
-            wal_fsyncs: Counter::default(),
-            wal_fsync_us: Histogram::default(),
-            wal_checkpoints: Counter::default(),
-            wal_checkpoint_bytes: Counter::default(),
-            vectorized_ops: Counter::default(),
-            row_ops: Counter::default(),
-            admission_admitted: Counter::default(),
-            admission_queued: Counter::default(),
-            admission_shed: Counter::default(),
-            mem_budget_aborts: Counter::default(),
-            mem_peak_bytes: Counter::default(),
-            wal_retries: Counter::default(),
-            wait_admission_us: Histogram::default(),
-            wait_fsync_us: Histogram::default(),
-            wait_wal_retry_us: Histogram::default(),
-            wait_worker_idle_us: Histogram::default(),
-            errors_timeout: Counter::default(),
-            errors_wal: Counter::default(),
-            errors_resource: Counter::default(),
-            errors_overloaded: Counter::default(),
-            errors_statement: Counter::default(),
-            verify_plans_checked: Counter::default(),
-            verify_violations: Counter::default(),
-            log: Mutex::new(std::collections::VecDeque::new()),
-            traces: Mutex::new(std::collections::VecDeque::new()),
-            ops: Mutex::new(BTreeMap::new()),
-            models: Mutex::new(BTreeMap::new()),
+            ..Telemetry::default()
         }
     }
 
     /// A disabled registry: every recording call is a cheap no-op.
     pub fn disabled() -> Telemetry {
-        Telemetry::new(false, Duration::ZERO, 1)
+        Telemetry::default()
     }
 
     pub fn enabled(&self) -> bool {
@@ -462,47 +512,11 @@ impl Telemetry {
     /// Zero every counter and histogram and clear the query log and rollups
     /// (model registrations survive, their numbers reset).
     pub fn reset(&self) {
-        for c in [
-            &self.statements,
-            &self.statement_errors,
-            &self.statement_timeouts,
-            &self.rows_returned,
-            &self.wal_appends,
-            &self.wal_append_bytes,
-            &self.wal_fsyncs,
-            &self.wal_checkpoints,
-            &self.wal_checkpoint_bytes,
-            &self.vectorized_ops,
-            &self.row_ops,
-            &self.verify_plans_checked,
-            &self.verify_violations,
-            &self.admission_admitted,
-            &self.admission_queued,
-            &self.admission_shed,
-            &self.mem_budget_aborts,
-            &self.mem_peak_bytes,
-            &self.wal_retries,
-            &self.errors_timeout,
-            &self.errors_wal,
-            &self.errors_resource,
-            &self.errors_overloaded,
-            &self.errors_statement,
-        ] {
-            c.reset();
+        for (_, _, counter) in Self::COUNTERS {
+            counter(self).reset();
         }
-        for h in [
-            &self.parse_us,
-            &self.sema_us,
-            &self.plan_us,
-            &self.exec_us,
-            &self.statement_us,
-            &self.wal_fsync_us,
-            &self.wait_admission_us,
-            &self.wait_fsync_us,
-            &self.wait_wal_retry_us,
-            &self.wait_worker_idle_us,
-        ] {
-            h.reset();
+        for (_, _, hist) in Self::HISTOGRAMS {
+            hist(self).reset();
         }
         self.log.lock().clear();
         self.traces.lock().clear();
@@ -515,67 +529,45 @@ impl Telemetry {
         }
     }
 
+    /// Failed statements: the sum of the per-family `errors.*` counters.
+    pub(crate) fn statement_errors(&self) -> u64 {
+        Self::COUNTERS
+            .iter()
+            .filter(|(name, ..)| name.starts_with("errors."))
+            .map(|(_, _, counter)| counter(self).get())
+            .sum()
+    }
+
     // ----------------------------------------------------------------------
     // Statement lifecycle
     // ----------------------------------------------------------------------
 
-    /// Record one finished statement: counters, phase histograms, and a
-    /// query-log entry. Returns the allocated statement id (so a kept trace
-    /// can be stored under the same id); `None` when the registry is
-    /// disabled. `waits` backfills the trace-derived wait columns — `None`
-    /// when the statement ran untraced.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_statement(
-        &self,
-        probe: &StatementProbe,
-        sql: &str,
-        status: QueryStatus,
-        error: Option<String>,
-        rows: u64,
-        peak_mem: u64,
-        waits: Option<WaitTotals>,
-    ) -> Option<u64> {
-        if !self.enabled || !probe.enabled() {
+    /// Record one finished statement: counters, phase histograms, and its
+    /// query-log entry. The registry assigns `entry.id` and `entry.slow` and
+    /// truncates `entry.sql`. Returns the allocated statement id (so a kept
+    /// trace can be stored under the same id); `None` when the registry is
+    /// disabled.
+    pub fn record_statement(&self, mut entry: QueryLogEntry) -> Option<u64> {
+        if !self.enabled {
             return None;
         }
-        self.mem_peak_bytes.set_max(peak_mem);
-        let total_us = probe.total_us();
+        self.mem_peak_bytes.set_max(entry.peak_mem_bytes);
         self.statements.incr();
-        match status {
-            QueryStatus::Ok => self.rows_returned.add(rows),
-            QueryStatus::Error => self.statement_errors.incr(),
-            QueryStatus::Timeout => {
-                self.statement_errors.incr();
-                self.statement_timeouts.incr();
-            }
+        if entry.status == QueryStatus::Ok {
+            self.rows_returned.add(entry.rows);
         }
-        self.parse_us.record_micros(probe.parse_us);
-        self.sema_us.record_micros(probe.sema_us);
-        if !probe.cache_hit {
-            self.plan_us.record_micros(probe.plan_us);
+        self.parse_us.record_micros(entry.parse_us);
+        self.sema_us.record_micros(entry.sema_us);
+        if !entry.cache_hit {
+            self.plan_us.record_micros(entry.plan_us);
         }
-        self.exec_us.record_micros(probe.exec_us);
-        self.statement_us.record_micros(total_us);
+        self.exec_us.record_micros(entry.exec_us);
+        self.statement_us.record_micros(entry.total_us);
 
-        let id = self.next_statement_id.fetch_add(1, Ordering::Relaxed);
-        let entry = QueryLogEntry {
-            id,
-            sql: truncate_sql(sql),
-            status,
-            error,
-            cache_hit: probe.cache_hit,
-            slow: self.slow_threshold_us > 0 && total_us >= self.slow_threshold_us,
-            parse_us: probe.parse_us,
-            sema_us: probe.sema_us,
-            plan_us: probe.plan_us,
-            exec_us: probe.exec_us,
-            total_us,
-            rows,
-            peak_mem_bytes: peak_mem,
-            queue_wait_us: waits.map(|w| w.queue_wait_us),
-            fsync_wait_us: waits.map(|w| w.fsync_wait_us),
-            retry_count: waits.map(|w| w.retry_count),
-        };
+        entry.id = self.next_statement_id.fetch_add(1, Ordering::Relaxed);
+        entry.slow = self.is_slow(entry.total_us);
+        truncate_sql(&mut entry.sql);
+        let id = entry.id;
         let mut log = self.log.lock();
         if log.len() >= self.log_capacity {
             log.pop_front();
@@ -745,15 +737,15 @@ impl Telemetry {
     }
 }
 
-fn truncate_sql(sql: &str) -> String {
+fn truncate_sql(sql: &mut String) {
     if sql.len() <= MAX_LOGGED_SQL {
-        return sql.to_string();
+        return;
     }
     let mut end = MAX_LOGGED_SQL;
     while !sql.is_char_boundary(end) {
         end -= 1;
     }
-    sql[..end].to_string()
+    sql.truncate(end);
 }
 
 fn fold_op_stats(ops: &mut BTreeMap<String, OpAgg>, stats: &OpStats) {
@@ -938,20 +930,32 @@ mod tests {
         }
     }
 
+    fn ok_entry(sql: &str) -> QueryLogEntry {
+        QueryLogEntry {
+            id: 0,
+            sql: sql.to_string(),
+            status: QueryStatus::Ok,
+            error: None,
+            cache_hit: false,
+            slow: false,
+            parse_us: 0,
+            sema_us: 0,
+            plan_us: 0,
+            exec_us: 0,
+            total_us: 0,
+            rows: 1,
+            peak_mem_bytes: 0,
+            queue_wait_us: None,
+            fsync_wait_us: None,
+            retry_count: None,
+        }
+    }
+
     #[test]
     fn query_log_ring_evicts_oldest() {
         let t = Telemetry::new(true, Duration::from_millis(100), 2);
         for i in 0..3 {
-            let probe = StatementProbe::start(true);
-            let id = t.record_statement(
-                &probe,
-                &format!("SELECT {i}"),
-                QueryStatus::Ok,
-                None,
-                1,
-                0,
-                None,
-            );
+            let id = t.record_statement(ok_entry(&format!("SELECT {i}")));
             assert_eq!(id, Some(i + 1));
         }
         let log = t.query_log();
@@ -964,9 +968,8 @@ mod tests {
     #[test]
     fn disabled_registry_records_nothing() {
         let t = Telemetry::disabled();
-        let probe = StatementProbe::start(t.enabled());
-        assert!(!probe.enabled());
-        let id = t.record_statement(&probe, "SELECT 1", QueryStatus::Ok, None, 1, 0, None);
+        assert!(!t.enabled());
+        let id = t.record_statement(ok_entry("SELECT 1"));
         assert_eq!(id, None);
         t.record_wal_append(10);
         t.record_model_predict("m", Duration::from_micros(5), 1);

@@ -25,6 +25,7 @@ use std::time::Instant;
 use crate::exec::OpStats;
 use crate::rng::SplitMix64;
 use crate::sync::Mutex;
+use crate::telemetry::Phase;
 
 /// Sampling policy for per-statement trace capture.
 ///
@@ -154,10 +155,11 @@ pub const ROOT_SPAN: u32 = 0;
 /// the executor runs can parent under it before it is itself recorded.
 pub const EXEC_SPAN: u32 = 1;
 
-/// Per-statement span recorder. Created once per traced statement (before
-/// admission, so queue wait is visible) and finished after the query-log
-/// entry is written. Span recording takes a short mutex per span — traced
-/// statements are the sampled minority, never the untraced hot path.
+/// Per-statement span recorder. Created once per traced statement on the
+/// origin of the statement's clock (read before admission, so queue wait is
+/// visible) and finished when the statement finishes. Span recording takes
+/// a short mutex per span — traced statements are the sampled minority,
+/// never the untraced hot path.
 #[derive(Debug)]
 pub struct TraceCtx {
     origin: Instant,
@@ -165,24 +167,14 @@ pub struct TraceCtx {
     spans: Mutex<Vec<SpanRec>>,
 }
 
-impl Default for TraceCtx {
-    fn default() -> TraceCtx {
-        TraceCtx::new()
-    }
-}
-
 impl TraceCtx {
-    pub fn new() -> TraceCtx {
+    /// A recorder whose span offsets count from `origin`.
+    pub fn new(origin: Instant) -> TraceCtx {
         TraceCtx {
-            origin: Instant::now(),
+            origin,
             next_id: AtomicU32::new(EXEC_SPAN + 1),
             spans: Mutex::new(Vec::new()),
         }
-    }
-
-    /// The trace origin; span start offsets are measured from here.
-    pub fn origin(&self) -> Instant {
-        self.origin
     }
 
     /// Microsecond offset of `t` from the trace origin.
@@ -224,23 +216,28 @@ impl TraceCtx {
         id
     }
 
-    /// Record the pre-reserved execution-phase span ([`EXEC_SPAN`]) covering
-    /// `from`..now. No-op when the span was already recorded: an inner
-    /// executor path (plan execution) records a tight exec span first, and
-    /// outer statement drivers only fill it in for paths (DML, DDL) that
-    /// never reached the executor-side recording.
-    pub fn record_exec(&self, from: Instant, attrs: Vec<(&'static str, AttrValue)>) {
-        let mut spans = self.spans.lock();
-        if spans.iter().any(|s| s.id == EXEC_SPAN) {
-            return;
-        }
-        spans.push(SpanRec {
-            id: EXEC_SPAN,
+    /// Record a top-level span (a child of the root) over an interval the
+    /// statement clock measured, `(start_us, duration_us)` from the origin.
+    /// The `exec` phase takes the pre-reserved [`EXEC_SPAN`] id.
+    pub(crate) fn record_phase(
+        &self,
+        name: &'static str,
+        (start_us, duration_us): (u64, u64),
+        wait_class: Option<WaitClass>,
+        attrs: Vec<(&'static str, AttrValue)>,
+    ) {
+        let id = if name == Phase::Exec.name() {
+            EXEC_SPAN
+        } else {
+            self.alloc_id()
+        };
+        self.record(SpanRec {
+            id,
             parent: Some(ROOT_SPAN),
-            name: "exec".into(),
-            start_us: self.offset_us(from),
-            duration_us: from.elapsed().as_micros() as u64,
-            wait_class: None,
+            name: name.into(),
+            start_us,
+            duration_us,
+            wait_class,
             rows: None,
             attrs,
         });
@@ -305,11 +302,6 @@ impl TraceCtx {
             },
         );
         spans
-    }
-
-    /// Snapshot of the spans recorded so far (no root span).
-    pub fn spans(&self) -> Vec<SpanRec> {
-        self.spans.lock().clone()
     }
 }
 
@@ -430,7 +422,7 @@ mod tests {
 
     #[test]
     fn wait_totals_fold_by_class() {
-        let ctx = TraceCtx::new();
+        let ctx = TraceCtx::new(Instant::now());
         let from = Instant::now();
         let scope = TraceScope {
             ctx: &ctx,

@@ -389,6 +389,22 @@ fn error_counters_classify_by_variant() {
             other => panic!("expected float, got {other:?}"),
         }
     };
+    // Each fact is counted once, so its two names always agree.
+    let assert_counted_once = |db: &Database| {
+        assert_eq!(
+            metric(db, "statements.timeouts"),
+            metric(db, "errors.timeout")
+        );
+        assert_eq!(
+            metric(db, "mem.budget_aborts"),
+            metric(db, "errors.resource")
+        );
+        let families: f64 = ["timeout", "wal", "resource", "overloaded", "statement"]
+            .iter()
+            .map(|family| metric(db, &format!("errors.{family}")))
+            .sum();
+        assert_eq!(metric(db, "statements.errors"), families);
+    };
 
     // errors.timeout: a millisecond-scale deadline kills the cross join but
     // leaves the fast sys.metrics reads below comfortably inside it.
@@ -402,6 +418,7 @@ fn error_counters_classify_by_variant() {
     assert!(matches!(err, EngineError::Timeout), "{err:?}");
     assert_eq!(metric(&db, "errors.timeout"), 1.0);
     assert_eq!(metric(&db, "errors.statement"), 0.0);
+    assert_counted_once(&db);
 
     // errors.resource (+ mem.budget_aborts): a 4 KiB budget rejects the
     // hash-join build.
@@ -421,6 +438,7 @@ fn error_counters_classify_by_variant() {
     let _ = db.query("SELECT nope FROM t").unwrap_err();
     assert_eq!(metric(&db, "errors.statement"), 1.0);
     assert_eq!(metric(&db, "errors.timeout"), 0.0);
+    assert_counted_once(&db);
 
     // errors.overloaded tracks admission sheds one-for-one.
     let db = Arc::new(seeded_db(
@@ -449,6 +467,7 @@ fn error_counters_classify_by_variant() {
     assert!(shed >= 1.0, "never collided with the busy statement");
     assert_eq!(metric(&db, "errors.overloaded"), shed);
     assert_eq!(metric(&db, "admission.shed"), shed);
+    assert_counted_once(&db);
 }
 
 // ---------------------------------------------------------------------

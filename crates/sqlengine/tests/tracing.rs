@@ -404,3 +404,179 @@ fn tracing_overhead_on_cached_plan_hot_path_is_bounded() {
     assert!(!on.telemetry().traces().is_empty());
     assert!(off.telemetry().traces().is_empty());
 }
+
+// ---------------------------------------------------------------------
+// One statement path: every entry point counts and traces alike
+// ---------------------------------------------------------------------
+
+/// `(exec.vectorized_ops, exec.row_ops)` moved by running `f`.
+fn mode_counts(db: &Database, f: impl FnOnce()) -> (u64, u64) {
+    let t = db.telemetry();
+    let before = (t.vectorized_ops.get(), t.row_ops.get());
+    f();
+    (
+        t.vectorized_ops.get() - before.0,
+        t.row_ops.get() - before.1,
+    )
+}
+
+/// `(name, rows)` of the operator spans under `exec` in the latest kept
+/// trace, in recording order.
+fn last_trace_operators(db: &Database) -> Vec<(String, u64)> {
+    let traces = db.telemetry().traces();
+    let trace = traces.last().expect("rate 1.0 keeps every trace");
+    let exec = trace
+        .spans
+        .iter()
+        .find(|s| s.name == "exec" && s.parent == Some(0))
+        .expect("every query trace has an exec span");
+    let mut under_exec = vec![exec.id];
+    let mut ops = Vec::new();
+    for span in &trace.spans {
+        if let (Some(parent), Some(rows)) = (span.parent, span.rows) {
+            if under_exec.contains(&parent) {
+                under_exec.push(span.id);
+                ops.push((span.name.clone(), rows));
+            }
+        }
+    }
+    ops
+}
+
+#[test]
+fn every_entry_point_counts_modes_and_traces_operators_alike() {
+    let sql = "SELECT g, SUM(w) FROM t WHERE x >= 250 GROUP BY g";
+    let db = seeded_db(EngineConfig::default(), 500);
+    let via_execute = mode_counts(&db, || {
+        db.execute(sql).unwrap();
+    });
+    let via_script = mode_counts(&db, || {
+        db.execute_script(&format!("{sql};")).unwrap();
+    });
+    let via_explain_sql = mode_counts(&db, || {
+        db.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+    });
+    let via_explain_api = mode_counts(&db, || {
+        db.explain_analyze(sql).unwrap();
+    });
+    assert!(
+        via_execute.0 > 0,
+        "the query runs vectorized: {via_execute:?}"
+    );
+    assert_eq!(via_script, via_execute, "execute_script vs execute");
+    assert_eq!(
+        via_explain_sql, via_explain_api,
+        "EXPLAIN ANALYZE SQL vs API"
+    );
+    assert_eq!(via_explain_api, via_execute, "explain_analyze vs execute");
+
+    let traced = seeded_db(
+        EngineConfig::default().with_trace_sampling(always_on()),
+        500,
+    );
+    traced.execute(sql).unwrap();
+    let from_execute = last_trace_operators(&traced);
+    traced.execute_script(&format!("{sql};")).unwrap();
+    let from_script = last_trace_operators(&traced);
+    assert!(!from_execute.is_empty(), "no operator spans under exec");
+    assert_eq!(from_script, from_execute);
+}
+
+// ---------------------------------------------------------------------
+// One clock: sys.query_log and sys.trace_spans agree
+// ---------------------------------------------------------------------
+
+#[test]
+fn query_log_phases_equal_their_trace_spans() {
+    let db = seeded_db(
+        EngineConfig::default().with_trace_sampling(always_on()),
+        300,
+    );
+    let first = db.telemetry().query_log().last().unwrap().id;
+    let sql = "SELECT g, SUM(w) FROM t WHERE x > 10 GROUP BY g";
+    db.query(sql).unwrap(); // miss
+    db.query(sql).unwrap(); // hit
+    db.execute("INSERT INTO t VALUES (5, 5, 5.0)").unwrap(); // DML
+    db.execute_script("SELECT COUNT(*) FROM t WHERE g = 3;")
+        .unwrap(); // script
+    db.prepare("SELECT x FROM t WHERE g = ?")
+        .unwrap()
+        .query(&[Value::Int(4)])
+        .unwrap(); // prepared
+
+    let log = db
+        .query(&format!(
+            "SELECT id, parse_us, sema_us, plan_us, exec_us, duration_ms, slow, cache_hit \
+             FROM sys.query_log WHERE id > {first} ORDER BY id"
+        ))
+        .unwrap()
+        .rows;
+    let int = |v: &Value| match v {
+        Value::Int(i) => *i,
+        other => panic!("expected an integer, got {other:?}"),
+    };
+    let ids: Vec<i64> = log.iter().map(|r| int(&r[0])).collect();
+    assert_eq!(ids.len(), 5, "{log:?}");
+    let spans = db
+        .query(&format!(
+            "SELECT statement_id, name, duration_us, parent_id FROM sys.trace_spans \
+             WHERE statement_id > {first} AND (parent_id IS NULL OR parent_id = 0)"
+        ))
+        .unwrap()
+        .rows;
+    let span_us = |id: i64, name: &str| {
+        spans
+            .iter()
+            .find(|s| int(&s[0]) == id && s[1] == Value::text(name))
+            .map(|s| int(&s[2]))
+    };
+    // Which phases each entry point runs: miss, hit, DML, script, prepared.
+    let expected = [
+        ["parse", "sema", "plan", "exec"].as_slice(),
+        &["plan", "exec"],
+        &["parse", "sema", "exec"],
+        &["sema", "plan", "exec"],
+        &["plan", "exec"],
+    ];
+    for (row, runs) in log.iter().zip(expected) {
+        let id = int(&row[0]);
+        for (col, phase) in [(1, "parse"), (2, "sema"), (3, "plan"), (4, "exec")] {
+            let logged = int(&row[col]);
+            match span_us(id, phase) {
+                Some(us) => {
+                    assert!(runs.contains(&phase), "statement {id} ran {phase}");
+                    assert_eq!(logged, us, "statement {id}: {phase}_us vs its span");
+                }
+                None => {
+                    assert!(!runs.contains(&phase), "statement {id} has no {phase} span");
+                    assert_eq!(logged, 0, "statement {id}: {phase}_us without a span");
+                }
+            }
+        }
+        let Value::Float(ms) = row[5] else {
+            panic!("duration_ms is a float: {row:?}");
+        };
+        let root = span_us(id, "statement").expect("every kept trace has a root");
+        assert_eq!((ms * 1000.0).round() as i64, root, "statement {id}");
+    }
+    assert_eq!(log[1][7], Value::Int(1), "the second run is a cache hit");
+
+    // The slow flag and the keep decision read the same total: with the
+    // sampler keeping nothing, exactly the slow statements keep traces.
+    let db = seeded_db(
+        EngineConfig::default()
+            .with_trace_sampling(TraceSampling::On { rate: 0.0, seed: 1 })
+            .with_slow_query_threshold(Duration::from_micros(1)),
+        64,
+    );
+    db.query("SELECT COUNT(*) FROM t").unwrap();
+    let kept: Vec<u64> = db
+        .telemetry()
+        .traces()
+        .iter()
+        .map(|t| t.statement_id)
+        .collect();
+    for entry in db.telemetry().query_log() {
+        assert_eq!(entry.slow, kept.contains(&entry.id), "{entry:?}");
+    }
+}
