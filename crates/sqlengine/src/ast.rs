@@ -408,78 +408,344 @@ impl Expr {
     }
 
     /// True when this expression (sub)tree contains an aggregate call.
+    /// Window specs are not entered: a window never contains aggregates of
+    /// the enclosing query.
     pub fn contains_aggregate(&self) -> bool {
         match self {
             Expr::Aggregate { .. } => true,
-            Expr::Literal(..) | Expr::Param(..) | Expr::Column { .. } => false,
-            Expr::Unary { expr, .. } => expr.contains_aggregate(),
-            Expr::Binary { left, right, .. } => {
-                left.contains_aggregate() || right.contains_aggregate()
+            Expr::WindowRowNumber { .. } => false,
+            _ => {
+                let mut found = false;
+                self.visit_children(&mut |c| found = found || c.contains_aggregate());
+                found
             }
-            Expr::IsNull { expr, .. } => expr.contains_aggregate(),
-            Expr::InList { expr, list, .. } => {
-                expr.contains_aggregate() || list.iter().any(Expr::contains_aggregate)
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => expr.contains_aggregate() || low.contains_aggregate() || high.contains_aggregate(),
-            Expr::Like { expr, pattern, .. } => {
-                expr.contains_aggregate() || pattern.contains_aggregate()
-            }
-            Expr::Case {
-                operand,
-                branches,
-                else_expr,
-                ..
-            } => {
-                operand.as_deref().is_some_and(Expr::contains_aggregate)
-                    || branches
-                        .iter()
-                        .any(|(w, t)| w.contains_aggregate() || t.contains_aggregate())
-                    || else_expr.as_deref().is_some_and(Expr::contains_aggregate)
-            }
-            Expr::Cast { expr, .. } => expr.contains_aggregate(),
-            Expr::Function { args, .. } => args.iter().any(Expr::contains_aggregate),
-            // Subqueries are planned independently; window functions never
-            // contain aggregates of the enclosing query.
-            Expr::WindowRowNumber { .. }
-            | Expr::ScalarSubquery(..)
-            | Expr::InSubquery { .. }
-            | Expr::Exists { .. } => false,
         }
     }
 
-    /// True when this expression (sub)tree contains a window function.
-    pub fn contains_window(&self) -> bool {
+    /// True when `pred` holds for this node or any node below it that
+    /// [`Expr::visit_children`] reaches (subquery bodies are not entered).
+    pub(crate) fn any(&self, pred: &mut impl FnMut(&Expr) -> bool) -> bool {
+        if pred(self) {
+            return true;
+        }
+        let mut found = false;
+        self.visit_children(&mut |c| found = found || c.any(pred));
+        found
+    }
+
+    /// The body of a subquery node (`(SELECT ..)`, `IN (SELECT ..)`,
+    /// `EXISTS (SELECT ..)`).
+    pub(crate) fn subquery(&self) -> Option<&Query> {
         match self {
-            Expr::WindowRowNumber { .. } => true,
-            Expr::Literal(..) | Expr::Param(..) | Expr::Column { .. } => false,
-            Expr::Unary { expr, .. } => expr.contains_window(),
-            Expr::Binary { left, right, .. } => left.contains_window() || right.contains_window(),
-            Expr::IsNull { expr, .. } => expr.contains_window(),
+            Expr::ScalarSubquery(query, _)
+            | Expr::InSubquery { query, .. }
+            | Expr::Exists { query, .. } => Some(query),
+            _ => None,
+        }
+    }
+
+    /// Call `f` on each direct child expression, in source order. Subquery
+    /// bodies are independent scopes and are not entered; the scalar side
+    /// of `IN (subquery)` belongs to this scope and is visited.
+    pub(crate) fn visit_children(&self, f: &mut impl FnMut(&Expr)) {
+        match self {
+            Expr::Literal(..) | Expr::Param(..) | Expr::Column { .. } => {}
+            Expr::Unary { expr, .. }
+            | Expr::IsNull { expr, .. }
+            | Expr::Cast { expr, .. }
+            | Expr::InSubquery { expr, .. } => f(expr),
+            Expr::Binary { left, right, .. } => {
+                f(left);
+                f(right);
+            }
             Expr::InList { expr, list, .. } => {
-                expr.contains_window() || list.iter().any(Expr::contains_window)
+                f(expr);
+                list.iter().for_each(f);
             }
             Expr::Between {
                 expr, low, high, ..
-            } => expr.contains_window() || low.contains_window() || high.contains_window(),
-            Expr::Like { expr, pattern, .. } => expr.contains_window() || pattern.contains_window(),
+            } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+            Expr::Like { expr, pattern, .. } => {
+                f(expr);
+                f(pattern);
+            }
             Expr::Case {
                 operand,
                 branches,
                 else_expr,
                 ..
             } => {
-                operand.as_deref().is_some_and(Expr::contains_window)
-                    || branches
-                        .iter()
-                        .any(|(w, t)| w.contains_window() || t.contains_window())
-                    || else_expr.as_deref().is_some_and(Expr::contains_window)
+                operand.as_deref().into_iter().for_each(&mut *f);
+                for (w, t) in branches {
+                    f(w);
+                    f(t);
+                }
+                else_expr.as_deref().into_iter().for_each(f);
             }
-            Expr::Cast { expr, .. } => expr.contains_window(),
-            Expr::Function { args, .. } => args.iter().any(Expr::contains_window),
-            Expr::Aggregate { arg, .. } => arg.as_deref().is_some_and(Expr::contains_window),
-            Expr::ScalarSubquery(..) | Expr::InSubquery { .. } | Expr::Exists { .. } => false,
+            Expr::Function { args, .. } => args.iter().for_each(f),
+            Expr::Aggregate { arg, .. } => arg.as_deref().into_iter().for_each(f),
+            Expr::WindowRowNumber {
+                partition_by,
+                order_by,
+                ..
+            } => {
+                partition_by.iter().for_each(&mut *f);
+                order_by.iter().for_each(|oi| f(&oi.expr));
+            }
+            Expr::ScalarSubquery(..) | Expr::Exists { .. } => {}
         }
+    }
+
+    /// Mutable twin of [`Expr::visit_children`]: same children, same order.
+    pub(crate) fn visit_children_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        match self {
+            Expr::Literal(..) | Expr::Param(..) | Expr::Column { .. } => {}
+            Expr::Unary { expr, .. }
+            | Expr::IsNull { expr, .. }
+            | Expr::Cast { expr, .. }
+            | Expr::InSubquery { expr, .. } => f(expr),
+            Expr::Binary { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            Expr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter_mut().for_each(f);
+            }
+            Expr::Between {
+                expr, low, high, ..
+            } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+            Expr::Like { expr, pattern, .. } => {
+                f(expr);
+                f(pattern);
+            }
+            Expr::Case {
+                operand,
+                branches,
+                else_expr,
+                ..
+            } => {
+                operand.as_deref_mut().into_iter().for_each(&mut *f);
+                for (w, t) in branches {
+                    f(w);
+                    f(t);
+                }
+                else_expr.as_deref_mut().into_iter().for_each(f);
+            }
+            Expr::Function { args, .. } => args.iter_mut().for_each(f),
+            Expr::Aggregate { arg, .. } => arg.as_deref_mut().into_iter().for_each(f),
+            Expr::WindowRowNumber {
+                partition_by,
+                order_by,
+                ..
+            } => {
+                partition_by.iter_mut().for_each(&mut *f);
+                order_by.iter_mut().for_each(|oi| f(&mut oi.expr));
+            }
+            Expr::ScalarSubquery(..) | Expr::Exists { .. } => {}
+        }
+    }
+}
+
+/// One part of a query level, as [`Query::walk`] / [`Query::walk_mut`]
+/// yield it: an expression slot or a nested query body.
+pub(crate) enum QueryPart<E, Q> {
+    /// Projection, WHERE, GROUP BY, HAVING, JOIN ON or ORDER BY expression.
+    Expr(E),
+    /// LIMIT or OFFSET expression (folded to a plan constant).
+    Limit(E),
+    /// A CTE body.
+    Cte(Q),
+    /// A derived table's query.
+    Derived(Q),
+}
+
+impl Query {
+    /// Call `f` on every expression slot of this query level — in every
+    /// `UNION` arm and every `JOIN ... ON` — and on every nested query body
+    /// (CTEs and derived tables). Neither the nested bodies nor subqueries
+    /// inside expressions are entered; `f` recurses when it needs to.
+    pub(crate) fn walk(&self, f: &mut impl FnMut(QueryPart<&Expr, &Query>)) {
+        fn tref<'q>(t: &'q TableRef, f: &mut impl FnMut(QueryPart<&'q Expr, &'q Query>)) {
+            match t {
+                TableRef::Named { .. } => {}
+                TableRef::Derived { query, .. } => f(QueryPart::Derived(query)),
+                TableRef::Join {
+                    left, right, on, ..
+                } => {
+                    tref(left, f);
+                    tref(right, f);
+                    on.iter().for_each(|e| f(QueryPart::Expr(e)));
+                }
+            }
+        }
+        fn body<'q>(s: &'q SetExpr, f: &mut impl FnMut(QueryPart<&'q Expr, &'q Query>)) {
+            match s {
+                SetExpr::Union { left, right, .. } => {
+                    body(left, f);
+                    body(right, f);
+                }
+                SetExpr::Select(sel) => {
+                    for item in &sel.projection {
+                        if let SelectItem::Expr { expr, .. } = item {
+                            f(QueryPart::Expr(expr));
+                        }
+                    }
+                    sel.from.iter().for_each(|t| tref(t, f));
+                    for e in sel.selection.iter().chain(&sel.group_by).chain(&sel.having) {
+                        f(QueryPart::Expr(e));
+                    }
+                }
+            }
+        }
+        for c in &self.ctes {
+            f(QueryPart::Cte(&c.query));
+        }
+        body(&self.body, f);
+        for oi in &self.order_by {
+            f(QueryPart::Expr(&oi.expr));
+        }
+        for e in self.limit.iter().chain(&self.offset) {
+            f(QueryPart::Limit(e));
+        }
+    }
+
+    /// Mutable twin of [`Query::walk`]: same parts, same order.
+    pub(crate) fn walk_mut(&mut self, f: &mut impl FnMut(QueryPart<&mut Expr, &mut Query>)) {
+        fn tref(t: &mut TableRef, f: &mut impl FnMut(QueryPart<&mut Expr, &mut Query>)) {
+            match t {
+                TableRef::Named { .. } => {}
+                TableRef::Derived { query, .. } => f(QueryPart::Derived(query)),
+                TableRef::Join {
+                    left, right, on, ..
+                } => {
+                    tref(left, f);
+                    tref(right, f);
+                    on.iter_mut().for_each(|e| f(QueryPart::Expr(e)));
+                }
+            }
+        }
+        fn body(s: &mut SetExpr, f: &mut impl FnMut(QueryPart<&mut Expr, &mut Query>)) {
+            match s {
+                SetExpr::Union { left, right, .. } => {
+                    body(left, f);
+                    body(right, f);
+                }
+                SetExpr::Select(sel) => {
+                    for item in &mut sel.projection {
+                        if let SelectItem::Expr { expr, .. } = item {
+                            f(QueryPart::Expr(expr));
+                        }
+                    }
+                    sel.from.iter_mut().for_each(|t| tref(t, f));
+                    let slots = sel.selection.iter_mut().chain(&mut sel.group_by);
+                    for e in slots.chain(&mut sel.having) {
+                        f(QueryPart::Expr(e));
+                    }
+                }
+            }
+        }
+        for c in &mut self.ctes {
+            f(QueryPart::Cte(&mut c.query));
+        }
+        body(&mut self.body, f);
+        for oi in &mut self.order_by {
+            f(QueryPart::Expr(&mut oi.expr));
+        }
+        for e in self.limit.iter_mut().chain(&mut self.offset) {
+            f(QueryPart::Limit(e));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+    use std::mem::discriminant;
+
+    fn children(e: &Expr) -> Vec<String> {
+        let mut out = Vec::new();
+        e.visit_children(&mut |c| out.push(format!("{c:?}")));
+        out
+    }
+
+    fn children_mut(e: &mut Expr) -> Vec<String> {
+        let mut out = Vec::new();
+        e.visit_children_mut(&mut |c| out.push(format!("{c:?}")));
+        out
+    }
+
+    #[test]
+    fn ref_and_mut_visitors_yield_the_same_children() {
+        // One projection item per `Expr` variant.
+        let sql = "SELECT 1, ?, c, -c, c + 1, c IS NULL, c IN (1, 2), c BETWEEN 1 AND 2, \
+                   c LIKE 'a%', CASE c WHEN 1 THEN 2 ELSE 3 END, CAST(c AS TEXT), ABS(c), \
+                   SUM(c), ROW_NUMBER() OVER (PARTITION BY c ORDER BY d), (SELECT x FROM u), \
+                   c + 2 IN (SELECT x FROM u), EXISTS (SELECT x FROM u) FROM t";
+        let Statement::Query(q) = crate::parser::parse_statement(sql).unwrap() else {
+            panic!("expected a query")
+        };
+        let SetExpr::Select(select) = q.body else {
+            panic!("expected a SELECT")
+        };
+        let mut exprs: Vec<Expr> = select
+            .projection
+            .into_iter()
+            .map(|item| match item {
+                SelectItem::Expr { expr, .. } => expr,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        let variants: HashSet<_> = exprs.iter().map(discriminant).collect();
+        assert_eq!(variants.len(), 17, "one expression per Expr variant");
+
+        for e in &mut exprs {
+            let by_ref = children(e);
+            assert_eq!(by_ref, children_mut(e), "{e:?}");
+            match e {
+                // Subquery bodies are separate scopes: never entered.
+                Expr::ScalarSubquery(..) | Expr::Exists { .. } => assert!(by_ref.is_empty()),
+                // The scalar side of IN belongs to the enclosing scope.
+                Expr::InSubquery { expr, .. } => assert_eq!(by_ref, [format!("{expr:?}")]),
+                _ => {}
+            }
+        }
+    }
+
+    fn describe<E: std::fmt::Debug, Q: std::fmt::Debug>(part: QueryPart<E, Q>) -> String {
+        match part {
+            QueryPart::Expr(e) => format!("expr {e:?}"),
+            QueryPart::Limit(e) => format!("limit {e:?}"),
+            QueryPart::Cte(q) => format!("cte {q:?}"),
+            QueryPart::Derived(q) => format!("derived {q:?}"),
+        }
+    }
+
+    #[test]
+    fn ref_and_mut_query_walks_yield_the_same_parts() {
+        let sql = "WITH c AS (SELECT 1 AS k) \
+                   SELECT a.k + ?, COUNT(*) FROM c a JOIN (SELECT 2 AS k) d ON a.k = d.k \
+                   WHERE a.k > 0 GROUP BY a.k HAVING COUNT(*) > 0 \
+                   UNION ALL SELECT 3, 4 ORDER BY 1 LIMIT 5 OFFSET 1";
+        let Statement::Query(mut q) = crate::parser::parse_statement(sql).unwrap() else {
+            panic!("expected a query")
+        };
+        let mut by_ref = Vec::new();
+        q.walk(&mut |part| by_ref.push(describe(part)));
+        let mut by_mut = Vec::new();
+        q.walk_mut(&mut |part| by_mut.push(describe(part)));
+        // 2 + 2 projection items, ON, WHERE, GROUP BY, HAVING, ORDER BY,
+        // LIMIT, OFFSET, one CTE and one derived table.
+        assert_eq!(by_ref.len(), 13);
+        assert_eq!(by_ref, by_mut);
     }
 }

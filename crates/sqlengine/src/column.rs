@@ -78,7 +78,7 @@ pub enum ColumnData {
     /// Every non-null value is `Value::Float`.
     Float(Vec<f64>),
     /// Every non-null value is `Value::Str` and the chunk-local cardinality
-    /// stayed within [`DICT_MAX_VALUES`]: rows hold codes into `values`
+    /// stayed within `DICT_MAX_VALUES`: rows hold codes into `values`
     /// (first-occurrence order); `index` is the reverse map for appends.
     Dict {
         codes: Vec<u32>,

@@ -715,7 +715,7 @@ impl Database {
     }
 
     /// Plan-cache counters as `(hits, misses, evictions)`. Evictions count
-    /// entries dropped by the capacity bound ([`PLAN_CACHE_CAPACITY`]) —
+    /// entries dropped by the capacity bound (`PLAN_CACHE_CAPACITY`) —
     /// both stale-entry reaping and full clears.
     pub fn plan_cache_metrics(&self) -> (u64, u64, u64) {
         (
@@ -2521,78 +2521,11 @@ fn table_scope(t: &Table) -> Scope {
 /// analyzer's upsert checks).
 pub(crate) fn qualify_bare_columns(e: &mut Expr, table: &str) {
     match e {
-        Expr::Column { qualifier, .. } => {
-            if qualifier.is_none() {
-                *qualifier = Some(table.to_string());
-            }
-        }
-        Expr::Literal(..) | Expr::Param(..) => {}
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-            qualify_bare_columns(expr, table);
-        }
-        Expr::Binary { left, right, .. } => {
-            qualify_bare_columns(left, table);
-            qualify_bare_columns(right, table);
-        }
-        Expr::InList { expr, list, .. } => {
-            qualify_bare_columns(expr, table);
-            for i in list {
-                qualify_bare_columns(i, table);
-            }
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            qualify_bare_columns(expr, table);
-            qualify_bare_columns(low, table);
-            qualify_bare_columns(high, table);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            qualify_bare_columns(expr, table);
-            qualify_bare_columns(pattern, table);
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
+        Expr::Column {
+            qualifier: qualifier @ None,
             ..
-        } => {
-            if let Some(o) = operand {
-                qualify_bare_columns(o, table);
-            }
-            for (w, th) in branches {
-                qualify_bare_columns(w, table);
-                qualify_bare_columns(th, table);
-            }
-            if let Some(el) = else_expr {
-                qualify_bare_columns(el, table);
-            }
-        }
-        Expr::Function { args, .. } => {
-            for a in args {
-                qualify_bare_columns(a, table);
-            }
-        }
-        Expr::Aggregate { arg, .. } => {
-            if let Some(a) = arg {
-                qualify_bare_columns(a, table);
-            }
-        }
-        Expr::WindowRowNumber {
-            partition_by,
-            order_by,
-            ..
-        } => {
-            for p in partition_by {
-                qualify_bare_columns(p, table);
-            }
-            for oi in order_by {
-                qualify_bare_columns(&mut oi.expr, table);
-            }
-        }
-        // Subquery bodies have their own scopes.
-        Expr::ScalarSubquery(..) | Expr::Exists { .. } => {}
-        Expr::InSubquery { expr, .. } => qualify_bare_columns(expr, table),
+        } => *qualifier = Some(table.to_string()),
+        _ => e.visit_children_mut(&mut |c| qualify_bare_columns(c, table)),
     }
 }
 

@@ -2,12 +2,12 @@
 //!
 //! The executor is organized as one module per operator family:
 //!
-//! * [`scan`] — scans plus chunked Filter/Project morsel pipelines;
-//! * [`join`] — hash join (partitioned build + probe), sort-merge, nested loop;
-//! * [`aggregate`] — hash aggregation with per-worker partial maps;
-//! * [`sort`] — sort (parallel run-sort + pairwise merge), top-k
+//! * `scan` — scans plus chunked Filter/Project morsel pipelines;
+//! * `join` — hash join (partitioned build + probe), sort-merge, nested loop;
+//! * `aggregate` — hash aggregation with per-worker partial maps;
+//! * `sort` — sort (parallel run-sort + pairwise merge), top-k
 //!   (`ORDER BY ... LIMIT`), and window ranking;
-//! * [`setops`] — `UNION ALL`, `DISTINCT` (hash-partitioned dedup), `LIMIT`.
+//! * `setops` — `UNION ALL`, `DISTINCT` (hash-partitioned dedup), `LIMIT`.
 //!
 //! Every operator executes through an [`ExecContext`], which carries the
 //! parallelism knob, the shared worker pool, and the `EXPLAIN ANALYZE` stats

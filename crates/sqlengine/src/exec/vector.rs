@@ -145,42 +145,15 @@ pub(crate) fn mode_of_label(label: &str) -> Option<&'static str> {
 /// Count `(vectorized, row)` operators over the whole plan tree, for the
 /// telemetry registry (`exec.vectorized_ops` / `exec.row_ops`).
 pub(crate) fn count_modes(plan: &PhysPlan) -> (u64, u64) {
-    fn walk(plan: &PhysPlan, acc: &mut (u64, u64)) {
-        match node_mode(plan) {
-            Some(true) => acc.0 += 1,
-            Some(false) => acc.1 += 1,
-            None => {}
-        }
-        match plan {
-            PhysPlan::Scan { .. }
-            | PhysPlan::VirtualScan { .. }
-            | PhysPlan::IndexScan { .. }
-            | PhysPlan::OneRow => {}
-            PhysPlan::Filter { input, .. }
-            | PhysPlan::Project { input, .. }
-            | PhysPlan::Aggregate { input, .. }
-            | PhysPlan::Window { input, .. }
-            | PhysPlan::Sort { input, .. }
-            | PhysPlan::Limit { input, .. }
-            | PhysPlan::Distinct { input } => walk(input, acc),
-            PhysPlan::HashJoin { left, right, .. }
-            | PhysPlan::NestedLoopJoin { left, right, .. } => {
-                walk(left, acc);
-                walk(right, acc);
-            }
-            PhysPlan::IndexJoin { probe, inner, .. } => {
-                walk(probe, acc);
-                walk(inner, acc);
-            }
-            PhysPlan::UnionAll { inputs } => {
-                for i in inputs {
-                    walk(i, acc);
-                }
-            }
-        }
-    }
-    let mut acc = (0, 0);
-    walk(plan, &mut acc);
+    let mut acc = match node_mode(plan) {
+        Some(true) => (1, 0),
+        Some(false) => (0, 1),
+        None => (0, 0),
+    };
+    plan.for_each_child(|c| {
+        let (v, r) = count_modes(c);
+        acc = (acc.0 + v, acc.1 + r);
+    });
     acc
 }
 

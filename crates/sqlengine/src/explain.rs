@@ -99,32 +99,7 @@ fn line(out: &mut String, depth: usize, text: &str) {
 
 fn render(plan: &PhysPlan, depth: usize, out: &mut String) {
     line(out, depth, &op_label(plan));
-    match plan {
-        PhysPlan::Scan { .. }
-        | PhysPlan::VirtualScan { .. }
-        | PhysPlan::IndexScan { .. }
-        | PhysPlan::OneRow => {}
-        PhysPlan::IndexJoin { probe, inner, .. } => {
-            render(probe, depth + 1, out);
-            render(inner, depth + 1, out);
-        }
-        PhysPlan::Filter { input, .. }
-        | PhysPlan::Project { input, .. }
-        | PhysPlan::Aggregate { input, .. }
-        | PhysPlan::Window { input, .. }
-        | PhysPlan::Sort { input, .. }
-        | PhysPlan::Limit { input, .. }
-        | PhysPlan::Distinct { input } => render(input, depth + 1, out),
-        PhysPlan::HashJoin { left, right, .. } | PhysPlan::NestedLoopJoin { left, right, .. } => {
-            render(left, depth + 1, out);
-            render(right, depth + 1, out);
-        }
-        PhysPlan::UnionAll { inputs } => {
-            for i in inputs {
-                render(i, depth + 1, out);
-            }
-        }
-    }
+    plan.for_each_child(|c| render(c, depth + 1, out));
 }
 
 /// Render an executed plan's stats tree (`EXPLAIN ANALYZE`): every operator

@@ -185,8 +185,8 @@ pub enum PhysExpr {
     Literal(Value),
     /// Unbound positional parameter (1-based). Only present in plan
     /// *templates* produced by symbolic binding ([`bind_expr_symbolic`]);
-    /// [`substitute_params`] replaces every occurrence with the bound value
-    /// before execution, so the evaluator never sees one.
+    /// [`PhysExpr::bind_params`] replaces every occurrence with the bound
+    /// value before execution, so the evaluator never sees one.
     Param(usize),
     Column(usize),
     Unary {
@@ -264,15 +264,7 @@ pub fn bind_expr_with(expr: &ast::Expr, scope: &Scope, binding: ParamBinding) ->
     Ok(match expr {
         E::Literal(v, _) => PhysExpr::Literal(v.clone()),
         E::Param(i, _) => match binding {
-            ParamBinding::Inline(params) => {
-                let v = params.get(i - 1).ok_or_else(|| {
-                    EngineError::Parameter(format!(
-                        "parameter ?{i} referenced but only {} bound",
-                        params.len()
-                    ))
-                })?;
-                PhysExpr::Literal(v.clone())
-            }
+            ParamBinding::Inline(params) => PhysExpr::Literal(param_value(params, *i)?),
             ParamBinding::Symbolic => PhysExpr::Param(*i),
         },
         E::Column {
@@ -380,7 +372,7 @@ impl PhysExpr {
     pub fn eval(&self, row: &[Value]) -> Result<Value> {
         match self {
             PhysExpr::Literal(v) => Ok(v.clone()),
-            // Templates are re-bound via `substitute_params` before they
+            // Templates are re-bound via `bind_params` before they
             // reach the executor; evaluating a leftover marker is a bug.
             PhysExpr::Param(i) => Err(EngineError::Parameter(format!(
                 "parameter ?{i} evaluated without a bound value"
@@ -521,116 +513,121 @@ impl PhysExpr {
 
     /// Whether this (sub)tree still carries an unbound parameter marker.
     pub fn contains_param(&self) -> bool {
+        let mut found = matches!(self, PhysExpr::Param(_));
+        self.visit_children(&mut |c| found = found || c.contains_param());
+        found
+    }
+
+    /// Replace every [`PhysExpr::Param`] in this (sub)tree with its bound
+    /// value, in place. Errors when a marker references past the end of
+    /// `params`, with the same message the inline binder produces.
+    pub fn bind_params(&mut self, params: &[Value]) -> Result<()> {
+        if let PhysExpr::Param(i) = *self {
+            *self = PhysExpr::Literal(param_value(params, i)?);
+            return Ok(());
+        }
+        let mut bound = Ok(());
+        self.visit_children_mut(&mut |c| {
+            if bound.is_ok() {
+                bound = c.bind_params(params);
+            }
+        });
+        bound
+    }
+
+    /// Call `f` on each direct child expression, in evaluation order.
+    pub(crate) fn visit_children(&self, f: &mut impl FnMut(&PhysExpr)) {
         match self {
-            PhysExpr::Param(_) => true,
-            PhysExpr::Literal(_) | PhysExpr::Column(_) => false,
-            PhysExpr::Unary { expr, .. } | PhysExpr::IsNull { expr, .. } => expr.contains_param(),
-            PhysExpr::Cast { expr, .. } => expr.contains_param(),
-            PhysExpr::Binary { left, right, .. } => left.contains_param() || right.contains_param(),
+            PhysExpr::Literal(_) | PhysExpr::Param(_) | PhysExpr::Column(_) => {}
+            PhysExpr::Unary { expr, .. }
+            | PhysExpr::IsNull { expr, .. }
+            | PhysExpr::Cast { expr, .. } => f(expr),
+            PhysExpr::Binary { left, right, .. } => {
+                f(left);
+                f(right);
+            }
             PhysExpr::InList { expr, list, .. } => {
-                expr.contains_param() || list.iter().any(PhysExpr::contains_param)
+                f(expr);
+                list.iter().for_each(f);
             }
             PhysExpr::Between {
                 expr, low, high, ..
-            } => expr.contains_param() || low.contains_param() || high.contains_param(),
+            } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
             PhysExpr::Like { expr, pattern, .. } => {
-                expr.contains_param() || pattern.contains_param()
+                f(expr);
+                f(pattern);
             }
             PhysExpr::Case {
                 operand,
                 branches,
                 else_expr,
             } => {
-                operand.as_deref().is_some_and(PhysExpr::contains_param)
-                    || branches
-                        .iter()
-                        .any(|(w, t)| w.contains_param() || t.contains_param())
-                    || else_expr.as_deref().is_some_and(PhysExpr::contains_param)
+                operand.as_deref().into_iter().for_each(&mut *f);
+                for (w, t) in branches {
+                    f(w);
+                    f(t);
+                }
+                else_expr.as_deref().into_iter().for_each(f);
             }
-            PhysExpr::Function { args, .. } => args.iter().any(PhysExpr::contains_param),
+            PhysExpr::Function { args, .. } => args.iter().for_each(f),
+        }
+    }
+
+    /// Mutable twin of [`PhysExpr::visit_children`]: same children, same
+    /// order.
+    pub(crate) fn visit_children_mut(&mut self, f: &mut impl FnMut(&mut PhysExpr)) {
+        match self {
+            PhysExpr::Literal(_) | PhysExpr::Param(_) | PhysExpr::Column(_) => {}
+            PhysExpr::Unary { expr, .. }
+            | PhysExpr::IsNull { expr, .. }
+            | PhysExpr::Cast { expr, .. } => f(expr),
+            PhysExpr::Binary { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            PhysExpr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter_mut().for_each(f);
+            }
+            PhysExpr::Between {
+                expr, low, high, ..
+            } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+            PhysExpr::Like { expr, pattern, .. } => {
+                f(expr);
+                f(pattern);
+            }
+            PhysExpr::Case {
+                operand,
+                branches,
+                else_expr,
+            } => {
+                operand.as_deref_mut().into_iter().for_each(&mut *f);
+                for (w, t) in branches {
+                    f(w);
+                    f(t);
+                }
+                else_expr.as_deref_mut().into_iter().for_each(f);
+            }
+            PhysExpr::Function { args, .. } => args.iter_mut().for_each(f),
         }
     }
 }
 
-/// Rebuild a plan-template expression with every [`PhysExpr::Param`]
-/// replaced by its bound value. Errors when a marker references past the end
-/// of `params`, with the same message the inline binder produces.
-pub fn substitute_params(e: &PhysExpr, params: &[Value]) -> Result<PhysExpr> {
-    let sub = |e: &PhysExpr| substitute_params(e, params);
-    let sub_box = |e: &PhysExpr| sub(e).map(Box::new);
-    Ok(match e {
-        PhysExpr::Param(i) => {
-            let v = params.get(i - 1).ok_or_else(|| {
-                EngineError::Parameter(format!(
-                    "parameter ?{i} referenced but only {} bound",
-                    params.len()
-                ))
-            })?;
-            PhysExpr::Literal(v.clone())
-        }
-        PhysExpr::Literal(_) | PhysExpr::Column(_) => e.clone(),
-        PhysExpr::Unary { op, expr } => PhysExpr::Unary {
-            op: *op,
-            expr: sub_box(expr)?,
-        },
-        PhysExpr::Binary { left, op, right } => PhysExpr::Binary {
-            left: sub_box(left)?,
-            op: *op,
-            right: sub_box(right)?,
-        },
-        PhysExpr::IsNull { expr, negated } => PhysExpr::IsNull {
-            expr: sub_box(expr)?,
-            negated: *negated,
-        },
-        PhysExpr::InList {
-            expr,
-            list,
-            negated,
-        } => PhysExpr::InList {
-            expr: sub_box(expr)?,
-            list: list.iter().map(sub).collect::<Result<_>>()?,
-            negated: *negated,
-        },
-        PhysExpr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => PhysExpr::Between {
-            expr: sub_box(expr)?,
-            low: sub_box(low)?,
-            high: sub_box(high)?,
-            negated: *negated,
-        },
-        PhysExpr::Like {
-            expr,
-            pattern,
-            negated,
-        } => PhysExpr::Like {
-            expr: sub_box(expr)?,
-            pattern: sub_box(pattern)?,
-            negated: *negated,
-        },
-        PhysExpr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => PhysExpr::Case {
-            operand: operand.as_deref().map(&sub_box).transpose()?,
-            branches: branches
-                .iter()
-                .map(|(w, t)| Ok((sub(w)?, sub(t)?)))
-                .collect::<Result<_>>()?,
-            else_expr: else_expr.as_deref().map(&sub_box).transpose()?,
-        },
-        PhysExpr::Cast { expr, ty } => PhysExpr::Cast {
-            expr: sub_box(expr)?,
-            ty: *ty,
-        },
-        PhysExpr::Function { func, args } => PhysExpr::Function {
-            func: *func,
-            args: args.iter().map(sub).collect::<Result<_>>()?,
-        },
+/// The value bound to parameter `?i` (1-based).
+fn param_value(params: &[Value], i: usize) -> Result<Value> {
+    params.get(i - 1).cloned().ok_or_else(|| {
+        EngineError::Parameter(format!(
+            "parameter ?{i} referenced but only {} bound",
+            params.len()
+        ))
     })
 }
 

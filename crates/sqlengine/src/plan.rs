@@ -14,10 +14,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::ast::{self, Expr, JoinKind, OrderItem, Query, Select, SelectItem, SetExpr, TableRef};
+use crate::ast::{
+    self, Expr, JoinKind, OrderItem, Query, QueryPart, Select, SelectItem, SetExpr, TableRef,
+};
 use crate::catalog::{Catalog, Schema, Table};
 use crate::error::{EngineError, Result, Span};
-use crate::expr::{bind_expr, bind_expr_symbolic, substitute_params, ColLabel, PhysExpr, Scope};
+use crate::expr::{bind_expr, bind_expr_symbolic, ColLabel, PhysExpr, Scope};
 use crate::value::{Row, Value};
 
 /// Which algorithm executes detected equi-joins.
@@ -229,26 +231,114 @@ impl PhysPlan {
     /// tracer's plan span — a cheap shape fingerprint for spotting plan
     /// changes across trace captures without storing the plan text).
     pub fn node_count(&self) -> usize {
-        let children: usize = match self {
+        let mut n = 1;
+        self.for_each_child(|c| n += c.node_count());
+        n
+    }
+
+    /// Call `f` on each direct input of this operator, in plan order.
+    pub(crate) fn for_each_child(&self, mut f: impl FnMut(&PhysPlan)) {
+        match self {
             PhysPlan::Scan { .. }
             | PhysPlan::VirtualScan { .. }
             | PhysPlan::IndexScan { .. }
-            | PhysPlan::OneRow => 0,
-            PhysPlan::IndexJoin { probe, inner, .. } => probe.node_count() + inner.node_count(),
+            | PhysPlan::OneRow => {}
             PhysPlan::Filter { input, .. }
             | PhysPlan::Project { input, .. }
             | PhysPlan::Aggregate { input, .. }
             | PhysPlan::Window { input, .. }
             | PhysPlan::Sort { input, .. }
             | PhysPlan::Limit { input, .. }
-            | PhysPlan::Distinct { input } => input.node_count(),
+            | PhysPlan::Distinct { input } => f(input),
             PhysPlan::HashJoin { left, right, .. }
-            | PhysPlan::NestedLoopJoin { left, right, .. } => {
-                left.node_count() + right.node_count()
+            | PhysPlan::NestedLoopJoin { left, right, .. }
+            | PhysPlan::IndexJoin {
+                probe: left,
+                inner: right,
+                ..
+            } => {
+                f(left);
+                f(right);
             }
-            PhysPlan::UnionAll { inputs } => inputs.iter().map(PhysPlan::node_count).sum(),
-        };
-        1 + children
+            PhysPlan::UnionAll { inputs } => inputs.iter().for_each(f),
+        }
+    }
+
+    /// Call `f` on every expression embedded anywhere in the tree, each
+    /// node's inputs before its own expressions.
+    pub(crate) fn for_each_expr_mut(&mut self, f: &mut impl FnMut(&mut PhysExpr)) {
+        match self {
+            PhysPlan::Scan { .. } | PhysPlan::VirtualScan { .. } | PhysPlan::OneRow => {}
+            PhysPlan::IndexScan { keys, .. } => keys.iter_mut().flatten().flatten().for_each(f),
+            PhysPlan::IndexJoin {
+                probe,
+                probe_keys,
+                inner,
+                residual,
+                ..
+            } => {
+                probe.for_each_expr_mut(f);
+                inner.for_each_expr_mut(f);
+                probe_keys.iter_mut().chain(residual).for_each(f);
+            }
+            PhysPlan::Filter { input, predicate } => {
+                input.for_each_expr_mut(f);
+                f(predicate);
+            }
+            PhysPlan::Project { input, exprs } => {
+                input.for_each_expr_mut(f);
+                exprs.iter_mut().for_each(f);
+            }
+            PhysPlan::HashJoin {
+                left,
+                right,
+                left_keys,
+                right_keys,
+                residual,
+                ..
+            } => {
+                left.for_each_expr_mut(f);
+                right.for_each_expr_mut(f);
+                left_keys
+                    .iter_mut()
+                    .chain(right_keys)
+                    .chain(residual)
+                    .for_each(f);
+            }
+            PhysPlan::NestedLoopJoin {
+                left,
+                right,
+                predicate,
+                ..
+            } => {
+                left.for_each_expr_mut(f);
+                right.for_each_expr_mut(f);
+                predicate.iter_mut().for_each(f);
+            }
+            PhysPlan::Aggregate { input, keys, aggs } => {
+                input.for_each_expr_mut(f);
+                let args = aggs.iter_mut().filter_map(|a| a.arg.as_mut());
+                keys.iter_mut().chain(args).for_each(f);
+            }
+            PhysPlan::Window {
+                input,
+                partition,
+                order,
+                ..
+            } => {
+                input.for_each_expr_mut(f);
+                let order = order.iter_mut().map(|(e, _)| e);
+                partition.iter_mut().chain(order).for_each(f);
+            }
+            PhysPlan::Sort { input, keys } => {
+                input.for_each_expr_mut(f);
+                keys.iter_mut().for_each(|(e, _)| f(e));
+            }
+            PhysPlan::Limit { input, .. } | PhysPlan::Distinct { input } => {
+                input.for_each_expr_mut(f);
+            }
+            PhysPlan::UnionAll { inputs } => inputs.iter_mut().for_each(|p| p.for_each_expr_mut(f)),
+        }
     }
 }
 
@@ -1018,7 +1108,7 @@ impl<'a> Planner<'a> {
             }
             _ => {
                 let mut result = Ok(());
-                visit_children_mut(e, &mut |c| {
+                e.visit_children_mut(&mut |c| {
                     if result.is_ok() {
                         result = self.resolve_subqueries(c);
                     }
@@ -1032,27 +1122,17 @@ impl<'a> Planner<'a> {
     fn plan_select(&mut self, select: &Select, order_by: &[OrderItem]) -> Result<PlannedQuery> {
         // 0. Evaluate uncorrelated subqueries so the rest of planning only
         //    sees plain expressions.
-        let has_subqueries = |s: &Select| -> bool {
-            // Cheap structural probe; cloning only when needed.
-            fn probe(e: &Expr) -> bool {
-                match e {
-                    Expr::ScalarSubquery(..) | Expr::InSubquery { .. } | Expr::Exists { .. } => {
-                        true
-                    }
-                    _ => {
-                        let mut found = false;
-                        visit_children(e, &mut |c| found |= probe(c));
-                        found
-                    }
-                }
-            }
-            s.selection.as_ref().is_some_and(probe)
-                || s.having.as_ref().is_some_and(probe)
-                || s.group_by.iter().any(probe)
-                || s.projection.iter().any(|i| match i {
-                    SelectItem::Expr { expr, .. } => probe(expr),
-                    _ => false,
-                })
+        //    Cheap structural probe; cloning only when needed.
+        let has_subqueries = |s: &Select| {
+            let items = s.projection.iter().filter_map(|i| match i {
+                SelectItem::Expr { expr, .. } => Some(expr),
+                _ => None,
+            });
+            let mut slots = items
+                .chain(&s.selection)
+                .chain(&s.group_by)
+                .chain(&s.having);
+            slots.any(|e| e.any(&mut |n| n.subquery().is_some()))
         };
         let resolved_select;
         let select = if has_subqueries(select) {
@@ -1157,28 +1237,46 @@ impl<'a> Planner<'a> {
         }
 
         // 4. Aggregation.
-        let has_aggregates = !select.group_by.is_empty()
-            || proj_items.iter().any(|(e, _)| e.contains_aggregate())
-            || select
-                .having
-                .as_ref()
-                .is_some_and(|h| h.contains_aggregate());
         let mut order_items: Vec<OrderItem> = order_by.to_vec();
-        if has_aggregates {
-            let (agg_plan, agg_scope, rewritten_proj, rewritten_having, rewritten_order) = self
-                .plan_aggregate(
-                    plan,
-                    &scope,
-                    &select.group_by,
-                    proj_items,
-                    select.having.as_ref(),
-                    &order_items,
-                )?;
-            plan = agg_plan;
-            scope = agg_scope;
-            proj_items = rewritten_proj;
-            order_items = rewritten_order;
-            if let Some(having) = rewritten_having {
+        let mut having = select.having.clone();
+        let grouped = rewrite_aggregates(
+            &select.group_by,
+            &mut proj_items,
+            having.as_mut(),
+            &mut order_items,
+        );
+        if let Some((agg_exprs, labels)) = grouped {
+            let keys = select
+                .group_by
+                .iter()
+                .map(|e| self.bind(e, &scope))
+                .collect::<Result<Vec<_>>>()?;
+            let aggs = agg_exprs
+                .iter()
+                .map(|e| {
+                    let Expr::Aggregate {
+                        func,
+                        arg,
+                        distinct,
+                        ..
+                    } = e
+                    else {
+                        unreachable!("rewrite_aggregates yields aggregate nodes")
+                    };
+                    Ok(AggSpec {
+                        func: *func,
+                        arg: arg.as_ref().map(|a| self.bind(a, &scope)).transpose()?,
+                        distinct: *distinct,
+                    })
+                })
+                .collect::<Result<Vec<_>>>()?;
+            plan = PhysPlan::Aggregate {
+                input: Box::new(plan),
+                keys,
+                aggs,
+            };
+            scope = Scope::new(labels);
+            if let Some(having) = having {
                 let predicate = self.bind(&having, &scope)?;
                 plan = PhysPlan::Filter {
                     input: Box::new(plan),
@@ -1190,19 +1288,16 @@ impl<'a> Planner<'a> {
         }
 
         // 5. Window functions.
-        let mut window_specs: Vec<Expr> = Vec::new();
-        for (e, _) in &proj_items {
-            collect_windows(e, &mut window_specs);
-        }
-        for w in window_specs.clone() {
+        let (windows, labels) = rewrite_windows(&mut proj_items, &mut order_items, scope.len());
+        for w in &windows {
             let Expr::WindowRowNumber {
                 func,
                 partition_by,
                 order_by: worder,
                 ..
-            } = &w
+            } = w
             else {
-                unreachable!()
+                unreachable!("rewrite_windows yields window nodes")
             };
             let partition = partition_by
                 .iter()
@@ -1218,16 +1313,8 @@ impl<'a> Planner<'a> {
                 partition,
                 order,
             };
-            let marker = format!("#w{}", scope.len());
-            scope.labels.push(ColLabel::bare(&marker));
-            let replacement = Expr::col(marker);
-            for (e, _) in proj_items.iter_mut() {
-                replace_subtree(e, &w, &replacement);
-            }
-            for oi in order_items.iter_mut() {
-                replace_subtree(&mut oi.expr, &w, &replacement);
-            }
         }
+        scope.labels.extend(labels);
 
         // 6. Projection.
         let mut exprs = Vec::with_capacity(proj_items.len());
@@ -1611,117 +1698,6 @@ impl<'a> Planner<'a> {
         bound.eval_const().ok().map(PhysExpr::Literal)
     }
 
-    /// Build the Aggregate node and rewrite projection/HAVING/ORDER BY in
-    /// terms of its output columns.
-    #[allow(clippy::type_complexity)]
-    fn plan_aggregate(
-        &mut self,
-        input: PhysPlan,
-        in_scope: &Scope,
-        group_by: &[Expr],
-        proj_items: Vec<(Expr, Option<String>)>,
-        having: Option<&Expr>,
-        order_items: &[OrderItem],
-    ) -> Result<(
-        PhysPlan,
-        Scope,
-        Vec<(Expr, Option<String>)>,
-        Option<Expr>,
-        Vec<OrderItem>,
-    )> {
-        // Collect aggregate calls (deduplicated structurally).
-        let mut agg_exprs: Vec<Expr> = Vec::new();
-        for (e, _) in &proj_items {
-            collect_aggregates(e, &mut agg_exprs);
-        }
-        if let Some(h) = having {
-            collect_aggregates(h, &mut agg_exprs);
-        }
-        for oi in order_items {
-            collect_aggregates(&oi.expr, &mut agg_exprs);
-        }
-
-        let keys = group_by
-            .iter()
-            .map(|e| self.bind(e, in_scope))
-            .collect::<Result<Vec<_>>>()?;
-        let aggs = agg_exprs
-            .iter()
-            .map(|e| {
-                let Expr::Aggregate {
-                    func,
-                    arg,
-                    distinct,
-                    ..
-                } = e
-                else {
-                    unreachable!()
-                };
-                Ok(AggSpec {
-                    func: *func,
-                    arg: arg.as_ref().map(|a| self.bind(a, in_scope)).transpose()?,
-                    distinct: *distinct,
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-
-        // Output scope: group keys keep their column labels when simple.
-        let mut labels = Vec::with_capacity(group_by.len() + agg_exprs.len());
-        for (i, g) in group_by.iter().enumerate() {
-            match g {
-                Expr::Column {
-                    qualifier, name, ..
-                } => labels.push(ColLabel::new(qualifier.as_deref(), name)),
-                _ => labels.push(ColLabel::bare(&format!("#g{i}"))),
-            }
-        }
-        for i in 0..agg_exprs.len() {
-            labels.push(ColLabel::bare(&format!("#a{i}")));
-        }
-        let out_scope = Scope::new(labels.clone());
-
-        // Rewrite: replace group expressions and aggregate calls with column
-        // references into the aggregate output.
-        let rewrite = |e: &mut Expr| {
-            for (i, g) in group_by.iter().enumerate() {
-                let replacement = match g {
-                    Expr::Column { .. } => g.clone(),
-                    _ => Expr::col(format!("#g{i}")),
-                };
-                replace_subtree(e, g, &replacement);
-            }
-            for (i, a) in agg_exprs.iter().enumerate() {
-                replace_subtree(e, a, &Expr::col(format!("#a{i}")));
-            }
-        };
-
-        let mut new_proj = proj_items;
-        for (e, _) in new_proj.iter_mut() {
-            rewrite(e);
-        }
-        let new_having = having.map(|h| {
-            let mut h = h.clone();
-            rewrite(&mut h);
-            h
-        });
-        let mut new_order = order_items.to_vec();
-        for oi in new_order.iter_mut() {
-            rewrite(&mut oi.expr);
-        }
-
-        Ok((
-            PhysPlan::Aggregate {
-                input: Box::new(input),
-                keys,
-                aggs,
-            },
-            out_scope,
-            new_proj,
-            new_having,
-            new_order,
-        ))
-    }
-
     fn bind_order_output(
         &self,
         order_by: &[OrderItem],
@@ -1782,229 +1758,113 @@ pub(crate) fn conjoin(conjuncts: &[&Expr]) -> Expr {
     })
 }
 
-/// Collect aggregate sub-expressions (structurally deduplicated, outermost
-/// only — nested aggregates are invalid and rejected at bind time).
-pub(crate) fn collect_aggregates(e: &Expr, out: &mut Vec<Expr>) {
-    match e {
-        Expr::Aggregate { .. } => {
-            if !out.contains(e) {
-                out.push(e.clone());
-            }
-        }
-        _ => visit_children(e, &mut |c| collect_aggregates(c, out)),
+/// The aggregate rewrite shared by the planner and the semantic analyzer. A
+/// SELECT aggregates when it has a GROUP BY or an aggregate call in its
+/// projection or HAVING; otherwise this returns `None` and changes nothing.
+/// Else it collects the aggregate calls of the projection, HAVING and ORDER
+/// BY (structurally deduplicated, outermost only — nested aggregates are
+/// rejected at bind time) and replaces, in those slots, each GROUP BY
+/// expression and aggregate call with a reference to the Aggregate node's
+/// output: a bare-column key keeps its column, key `i` otherwise becomes
+/// `#g{i}` and aggregate `i` becomes `#a{i}`. Returns the aggregate calls and
+/// the output labels, untyped.
+pub(crate) fn rewrite_aggregates(
+    group_by: &[Expr],
+    items: &mut [(Expr, Option<String>)],
+    having: Option<&mut Expr>,
+    order: &mut [OrderItem],
+) -> Option<(Vec<Expr>, Vec<ColLabel>)> {
+    let aggregating = !group_by.is_empty()
+        || items.iter().any(|(e, _)| e.contains_aggregate())
+        || having.as_deref().is_some_and(Expr::contains_aggregate);
+    if !aggregating {
+        return None;
     }
+    let items = items.iter_mut().map(|(e, _)| e);
+    let mut slots: Vec<&mut Expr> = items
+        .chain(having)
+        .chain(order.iter_mut().map(|oi| &mut oi.expr))
+        .collect();
+    let mut aggs = Vec::new();
+    for e in &slots {
+        collect_outermost(e, &|e| matches!(e, Expr::Aggregate { .. }), &mut aggs);
+    }
+    let mut labels = Vec::with_capacity(group_by.len() + aggs.len());
+    let mut replacements = Vec::with_capacity(group_by.len() + aggs.len());
+    for (i, g) in group_by.iter().enumerate() {
+        let replacement = match g {
+            Expr::Column {
+                qualifier, name, ..
+            } => {
+                labels.push(ColLabel::new(qualifier.as_deref(), name));
+                g.clone()
+            }
+            _ => marker(&format!("#g{i}"), &mut labels),
+        };
+        replacements.push((g, replacement));
+    }
+    for (i, a) in aggs.iter().enumerate() {
+        replacements.push((a, marker(&format!("#a{i}"), &mut labels)));
+    }
+    for e in &mut slots {
+        for (target, replacement) in &replacements {
+            replace_subtree(e, target, replacement);
+        }
+    }
+    Some((aggs, labels))
 }
 
-/// Collect window sub-expressions (structurally deduplicated).
-pub(crate) fn collect_windows(e: &Expr, out: &mut Vec<Expr>) {
-    match e {
-        Expr::WindowRowNumber { .. } => {
-            if !out.contains(e) {
-                out.push(e.clone());
-            }
-        }
-        _ => visit_children(e, &mut |c| collect_windows(c, out)),
+/// The window rewrite shared by the planner and the semantic analyzer:
+/// collect the window calls of the projection (structurally deduplicated)
+/// and replace window `i`, in the projection and ORDER BY, with a reference
+/// `#w{first + i}` to the column its Window node appends after the `first`
+/// input columns. Returns the window calls and the appended labels, untyped.
+pub(crate) fn rewrite_windows(
+    items: &mut [(Expr, Option<String>)],
+    order: &mut [OrderItem],
+    first: usize,
+) -> (Vec<Expr>, Vec<ColLabel>) {
+    let mut windows = Vec::new();
+    for (e, _) in items.iter() {
+        collect_outermost(
+            e,
+            &|e| matches!(e, Expr::WindowRowNumber { .. }),
+            &mut windows,
+        );
     }
+    let mut labels = Vec::with_capacity(windows.len());
+    for (i, w) in windows.iter().enumerate() {
+        let replacement = marker(&format!("#w{}", first + i), &mut labels);
+        let items = items.iter_mut().map(|(e, _)| e);
+        for e in items.chain(order.iter_mut().map(|oi| &mut oi.expr)) {
+            replace_subtree(e, w, &replacement);
+        }
+    }
+    (windows, labels)
 }
 
-pub(crate) fn visit_children(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    match e {
-        Expr::Literal(..) | Expr::Param(..) | Expr::Column { .. } => {}
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => f(expr),
-        Expr::Binary { left, right, .. } => {
-            f(left);
-            f(right);
-        }
-        Expr::InList { expr, list, .. } => {
-            f(expr);
-            list.iter().for_each(&mut *f);
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            f(expr);
-            f(low);
-            f(high);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            f(expr);
-            f(pattern);
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
-            ..
-        } => {
-            if let Some(o) = operand {
-                f(o);
-            }
-            for (w, t) in branches {
-                f(w);
-                f(t);
-            }
-            if let Some(e2) = else_expr {
-                f(e2);
-            }
-        }
-        Expr::Function { args, .. } => args.iter().for_each(&mut *f),
-        Expr::Aggregate { arg, .. } => {
-            if let Some(a) = arg {
-                f(a);
-            }
-        }
-        Expr::WindowRowNumber {
-            partition_by,
-            order_by,
-            ..
-        } => {
-            partition_by.iter().for_each(&mut *f);
-            for oi in order_by {
-                f(&oi.expr);
-            }
-        }
-        // Subquery bodies are independent scopes; only visit the scalar
-        // side of IN.
-        Expr::ScalarSubquery(..) | Expr::Exists { .. } => {}
-        Expr::InSubquery { expr, .. } => f(expr),
-    }
+/// Push a bare label `name` and return a column reference to it.
+fn marker(name: &str, labels: &mut Vec<ColLabel>) -> Expr {
+    labels.push(ColLabel::bare(name));
+    Expr::col(name)
 }
 
-/// Mutable twin of [`visit_children`].
-pub(crate) fn visit_children_mut(e: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
-    match e {
-        Expr::Literal(..) | Expr::Param(..) | Expr::Column { .. } => {}
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => f(expr),
-        Expr::Binary { left, right, .. } => {
-            f(left);
-            f(right);
-        }
-        Expr::InList { expr, list, .. } => {
-            f(expr);
-            list.iter_mut().for_each(&mut *f);
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            f(expr);
-            f(low);
-            f(high);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            f(expr);
-            f(pattern);
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
-            ..
-        } => {
-            if let Some(o) = operand {
-                f(o);
-            }
-            for (w, t) in branches {
-                f(w);
-                f(t);
-            }
-            if let Some(e2) = else_expr {
-                f(e2);
-            }
-        }
-        Expr::Function { args, .. } => args.iter_mut().for_each(&mut *f),
-        Expr::Aggregate { arg, .. } => {
-            if let Some(a) = arg {
-                f(a);
-            }
-        }
-        Expr::WindowRowNumber {
-            partition_by,
-            order_by,
-            ..
-        } => {
-            partition_by.iter_mut().for_each(&mut *f);
-            for oi in order_by {
-                f(&mut oi.expr);
-            }
-        }
-        Expr::ScalarSubquery(..) | Expr::Exists { .. } => {}
-        Expr::InSubquery { expr, .. } => f(expr),
+/// Collect the outermost sub-expressions of `e` matching `pred`,
+/// structurally deduplicated.
+fn collect_outermost(e: &Expr, pred: &impl Fn(&Expr) -> bool, out: &mut Vec<Expr>) {
+    if !pred(e) {
+        e.visit_children(&mut |c| collect_outermost(c, pred, out));
+    } else if !out.contains(e) {
+        out.push(e.clone());
     }
 }
 
 /// Replace every subtree structurally equal to `target` with `replacement`.
-pub(crate) fn replace_subtree(e: &mut Expr, target: &Expr, replacement: &Expr) {
+fn replace_subtree(e: &mut Expr, target: &Expr, replacement: &Expr) {
     if e == target {
         *e = replacement.clone();
-        return;
-    }
-    match e {
-        Expr::Literal(..) | Expr::Param(..) | Expr::Column { .. } => {}
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-            replace_subtree(expr, target, replacement);
-        }
-        Expr::Binary { left, right, .. } => {
-            replace_subtree(left, target, replacement);
-            replace_subtree(right, target, replacement);
-        }
-        Expr::InList { expr, list, .. } => {
-            replace_subtree(expr, target, replacement);
-            for i in list {
-                replace_subtree(i, target, replacement);
-            }
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            replace_subtree(expr, target, replacement);
-            replace_subtree(low, target, replacement);
-            replace_subtree(high, target, replacement);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            replace_subtree(expr, target, replacement);
-            replace_subtree(pattern, target, replacement);
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
-            ..
-        } => {
-            if let Some(o) = operand {
-                replace_subtree(o, target, replacement);
-            }
-            for (w, t) in branches {
-                replace_subtree(w, target, replacement);
-                replace_subtree(t, target, replacement);
-            }
-            if let Some(e2) = else_expr {
-                replace_subtree(e2, target, replacement);
-            }
-        }
-        Expr::Function { args, .. } => {
-            for a in args {
-                replace_subtree(a, target, replacement);
-            }
-        }
-        Expr::Aggregate { arg, .. } => {
-            if let Some(a) = arg {
-                replace_subtree(a, target, replacement);
-            }
-        }
-        Expr::WindowRowNumber {
-            partition_by,
-            order_by,
-            ..
-        } => {
-            for p in partition_by {
-                replace_subtree(p, target, replacement);
-            }
-            for oi in order_by {
-                replace_subtree(&mut oi.expr, target, replacement);
-            }
-        }
-        Expr::ScalarSubquery(..) | Expr::Exists { .. } => {}
-        Expr::InSubquery { expr, .. } => replace_subtree(expr, target, replacement),
+    } else {
+        e.visit_children_mut(&mut |c| replace_subtree(c, target, replacement));
     }
 }
 
@@ -2012,201 +1872,37 @@ pub(crate) fn replace_subtree(e: &mut Expr, target: &Expr, replacement: &Expr) {
 // Plan templates: parameter substitution and cacheability analysis
 // ---------------------------------------------------------------------
 
-/// Rebuild a cached plan template with every symbolic parameter replaced by
-/// its bound value (see [`crate::expr::substitute_params`]). Plan trees are
-/// small and row snapshots are shared `Arc`s, so this clone is cheap
-/// relative to re-parsing and re-planning the statement.
-pub fn bind_plan_params(plan: &PhysPlan, params: &[Value]) -> Result<PhysPlan> {
-    let sub = |e: &PhysExpr| substitute_params(e, params);
-    let sub_vec = |es: &[PhysExpr]| es.iter().map(&sub).collect::<Result<Vec<_>>>();
-    let sub_opt = |e: &Option<PhysExpr>| e.as_ref().map(&sub).transpose();
-    let rec = |p: &PhysPlan| bind_plan_params(p, params).map(Box::new);
-    Ok(match plan {
-        PhysPlan::Scan { .. } | PhysPlan::VirtualScan { .. } | PhysPlan::OneRow => plan.clone(),
-        PhysPlan::IndexScan {
-            rows,
-            width,
-            index_name,
-            index,
-            keys,
-        } => PhysPlan::IndexScan {
-            rows: Arc::clone(rows),
-            width: *width,
-            index_name: index_name.clone(),
-            index: index.clone(),
-            keys: keys
-                .as_ref()
-                .map(|ks| ks.iter().map(|tuple| sub_vec(tuple)).collect::<Result<_>>())
-                .transpose()?,
-        },
-        PhysPlan::IndexJoin {
-            probe,
-            probe_keys,
-            inner,
-            inner_is_left,
-            kind,
-            inner_width,
-            residual,
-        } => PhysPlan::IndexJoin {
-            probe: rec(probe)?,
-            probe_keys: sub_vec(probe_keys)?,
-            inner: rec(inner)?,
-            inner_is_left: *inner_is_left,
-            kind: *kind,
-            inner_width: *inner_width,
-            residual: sub_opt(residual)?,
-        },
-        PhysPlan::Filter { input, predicate } => PhysPlan::Filter {
-            input: rec(input)?,
-            predicate: sub(predicate)?,
-        },
-        PhysPlan::Project { input, exprs } => PhysPlan::Project {
-            input: rec(input)?,
-            exprs: sub_vec(exprs)?,
-        },
-        PhysPlan::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            kind,
-            right_width,
-            residual,
-            algo,
-        } => PhysPlan::HashJoin {
-            left: rec(left)?,
-            right: rec(right)?,
-            left_keys: sub_vec(left_keys)?,
-            right_keys: sub_vec(right_keys)?,
-            kind: *kind,
-            right_width: *right_width,
-            residual: sub_opt(residual)?,
-            algo: *algo,
-        },
-        PhysPlan::NestedLoopJoin {
-            left,
-            right,
-            kind,
-            right_width,
-            predicate,
-        } => PhysPlan::NestedLoopJoin {
-            left: rec(left)?,
-            right: rec(right)?,
-            kind: *kind,
-            right_width: *right_width,
-            predicate: sub_opt(predicate)?,
-        },
-        PhysPlan::Aggregate { input, keys, aggs } => PhysPlan::Aggregate {
-            input: rec(input)?,
-            keys: sub_vec(keys)?,
-            aggs: aggs
-                .iter()
-                .map(|a| {
-                    Ok(AggSpec {
-                        func: a.func,
-                        arg: sub_opt(&a.arg)?,
-                        distinct: a.distinct,
-                    })
-                })
-                .collect::<Result<_>>()?,
-        },
-        PhysPlan::Window {
-            input,
-            func,
-            partition,
-            order,
-        } => PhysPlan::Window {
-            input: rec(input)?,
-            func: *func,
-            partition: sub_vec(partition)?,
-            order: order
-                .iter()
-                .map(|(e, d)| Ok((sub(e)?, *d)))
-                .collect::<Result<_>>()?,
-        },
-        PhysPlan::Sort { input, keys } => PhysPlan::Sort {
-            input: rec(input)?,
-            keys: keys
-                .iter()
-                .map(|(e, d)| Ok((sub(e)?, *d)))
-                .collect::<Result<_>>()?,
-        },
-        PhysPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => PhysPlan::Limit {
-            input: rec(input)?,
-            limit: *limit,
-            offset: *offset,
-        },
-        PhysPlan::UnionAll { inputs } => PhysPlan::UnionAll {
-            inputs: inputs
-                .iter()
-                .map(|p| bind_plan_params(p, params))
-                .collect::<Result<_>>()?,
-        },
-        PhysPlan::Distinct { input } => PhysPlan::Distinct { input: rec(input)? },
-    })
+/// Bind a cached plan template: clone it (row snapshots, indexes and column
+/// chunks are shared `Arc`s) and replace every symbolic parameter in every
+/// embedded expression with its bound value ([`PhysExpr::bind_params`]).
+/// This is cheap relative to re-parsing and re-planning the statement.
+pub fn bind_plan_params(template: &PhysPlan, params: &[Value]) -> Result<PhysPlan> {
+    let mut plan = template.clone();
+    let mut bound = Ok(());
+    plan.for_each_expr_mut(&mut |e| {
+        if bound.is_ok() {
+            bound = e.bind_params(params);
+        }
+    });
+    bound.map(|()| plan)
 }
 
 /// Does any expression anywhere in `q` — including CTE bodies, derived
 /// tables, ORDER BY / LIMIT, and subquery bodies — contain a `?` marker?
 pub fn query_contains_params(q: &Query) -> bool {
-    q.ctes.iter().any(|c| query_contains_params(&c.query))
-        || q.order_by.iter().any(|oi| expr_contains_params(&oi.expr))
-        || q.limit.as_ref().is_some_and(expr_contains_params)
-        || q.offset.as_ref().is_some_and(expr_contains_params)
-        || set_contains_params(&q.body)
-}
-
-fn set_contains_params(s: &SetExpr) -> bool {
-    match s {
-        SetExpr::Select(sel) => select_contains_params(sel),
-        SetExpr::Union { left, right, .. } => {
-            set_contains_params(left) || set_contains_params(right)
-        }
-    }
-}
-
-fn select_contains_params(s: &Select) -> bool {
-    s.projection.iter().any(|i| match i {
-        SelectItem::Expr { expr, .. } => expr_contains_params(expr),
-        _ => false,
-    }) || s.selection.as_ref().is_some_and(expr_contains_params)
-        || s.group_by.iter().any(expr_contains_params)
-        || s.having.as_ref().is_some_and(expr_contains_params)
-        || s.from.iter().any(tref_contains_params)
-}
-
-fn tref_contains_params(t: &TableRef) -> bool {
-    match t {
-        TableRef::Named { .. } => false,
-        TableRef::Derived { query, .. } => query_contains_params(query),
-        TableRef::Join {
-            left, right, on, ..
-        } => {
-            tref_contains_params(left)
-                || tref_contains_params(right)
-                || on.as_ref().is_some_and(expr_contains_params)
-        }
-    }
+    let mut found = false;
+    q.walk(&mut |part| {
+        found = found
+            || match part {
+                QueryPart::Expr(e) | QueryPart::Limit(e) => expr_contains_params(e),
+                QueryPart::Cte(q) | QueryPart::Derived(q) => query_contains_params(q),
+            };
+    });
+    found
 }
 
 fn expr_contains_params(e: &Expr) -> bool {
-    match e {
-        Expr::Param(..) => true,
-        Expr::ScalarSubquery(q, _) => query_contains_params(q),
-        Expr::Exists { query, .. } => query_contains_params(query),
-        Expr::InSubquery { expr, query, .. } => {
-            expr_contains_params(expr) || query_contains_params(query)
-        }
-        _ => {
-            let mut found = false;
-            visit_children(e, &mut |c| found |= expr_contains_params(c));
-            found
-        }
-    }
+    e.any(&mut |n| matches!(n, Expr::Param(..)) || n.subquery().is_some_and(query_contains_params))
 }
 
 /// True when `q` uses parameters in a position the planner consumes at plan
@@ -2216,73 +1912,21 @@ fn expr_contains_params(e: &Expr) -> bool {
 /// evaluates them during planning. Such statements plan inline with their
 /// actual parameter values and stay uncached.
 pub fn params_unsupported(q: &Query, materialize_ctes: bool) -> bool {
-    if q.limit.as_ref().is_some_and(expr_contains_params)
-        || q.offset.as_ref().is_some_and(expr_contains_params)
-    {
-        return true;
-    }
-    for c in &q.ctes {
-        let bad = if materialize_ctes {
-            query_contains_params(&c.query)
-        } else {
-            params_unsupported(&c.query, materialize_ctes)
-        };
-        if bad {
-            return true;
-        }
-    }
-    q.order_by.iter().any(|oi| unsupported_in_expr(&oi.expr))
-        || unsupported_in_set(&q.body, materialize_ctes)
-}
-
-fn unsupported_in_set(s: &SetExpr, mat: bool) -> bool {
-    match s {
-        SetExpr::Select(sel) => unsupported_in_select(sel, mat),
-        SetExpr::Union { left, right, .. } => {
-            unsupported_in_set(left, mat) || unsupported_in_set(right, mat)
-        }
-    }
-}
-
-fn unsupported_in_select(s: &Select, mat: bool) -> bool {
-    s.projection.iter().any(|i| match i {
-        SelectItem::Expr { expr, .. } => unsupported_in_expr(expr),
-        _ => false,
-    }) || s.selection.as_ref().is_some_and(unsupported_in_expr)
-        || s.group_by.iter().any(unsupported_in_expr)
-        || s.having.as_ref().is_some_and(unsupported_in_expr)
-        || s.from.iter().any(|t| unsupported_in_tref(t, mat))
-}
-
-fn unsupported_in_tref(t: &TableRef, mat: bool) -> bool {
-    match t {
-        TableRef::Named { .. } => false,
-        TableRef::Derived { query, .. } => params_unsupported(query, mat),
-        TableRef::Join {
-            left, right, on, ..
-        } => {
-            unsupported_in_tref(left, mat)
-                || unsupported_in_tref(right, mat)
-                || on.as_ref().is_some_and(unsupported_in_expr)
-        }
-    }
-}
-
-fn unsupported_in_expr(e: &Expr) -> bool {
-    match e {
-        // A subquery body is executed during planning; any parameter inside
-        // it would need a value before the template exists.
-        Expr::ScalarSubquery(q, _) => query_contains_params(q),
-        Expr::Exists { query, .. } => query_contains_params(query),
-        Expr::InSubquery { expr, query, .. } => {
-            query_contains_params(query) || unsupported_in_expr(expr)
-        }
-        _ => {
-            let mut found = false;
-            visit_children(e, &mut |c| found |= unsupported_in_expr(c));
-            found
-        }
-    }
+    let mut unsupported = false;
+    q.walk(&mut |part| {
+        unsupported = unsupported
+            || match part {
+                QueryPart::Limit(e) => expr_contains_params(e),
+                QueryPart::Expr(e) => {
+                    e.any(&mut |n| n.subquery().is_some_and(query_contains_params))
+                }
+                QueryPart::Cte(q) if materialize_ctes => query_contains_params(q),
+                QueryPart::Cte(q) | QueryPart::Derived(q) => {
+                    params_unsupported(q, materialize_ctes)
+                }
+            };
+    });
+    unsupported
 }
 
 /// Derive a display name for an unaliased projection expression.

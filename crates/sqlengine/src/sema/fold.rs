@@ -11,7 +11,7 @@
 //! left alone when they error, matching the engine's short-circuit
 //! semantics.
 
-use crate::ast::Expr;
+use crate::ast::{Expr, QueryPart};
 use crate::error::{EngineError, Result};
 use crate::expr::{bind_expr, ScalarFunc, Scope};
 
@@ -20,21 +20,18 @@ use crate::expr::{bind_expr, ScalarFunc, Scope};
 /// compile-time constant (every scalar function in the engine is
 /// deterministic).
 pub(crate) fn is_const(e: &Expr) -> bool {
-    match e {
-        Expr::Literal(..) => true,
-        Expr::Param(..)
-        | Expr::Column { .. }
-        | Expr::Aggregate { .. }
-        | Expr::WindowRowNumber { .. }
-        | Expr::ScalarSubquery(..)
-        | Expr::InSubquery { .. }
-        | Expr::Exists { .. } => false,
-        _ => {
-            let mut ok = true;
-            crate::plan::visit_children(e, &mut |c| ok &= is_const(c));
-            ok
-        }
-    }
+    !e.any(&mut |n| {
+        matches!(
+            n,
+            Expr::Param(..)
+                | Expr::Column { .. }
+                | Expr::Aggregate { .. }
+                | Expr::WindowRowNumber { .. }
+                | Expr::ScalarSubquery(..)
+                | Expr::InSubquery { .. }
+                | Expr::Exists { .. }
+        )
+    })
 }
 
 /// Fold every constant subtree of `e` in place. `strict` positions turn a
@@ -159,61 +156,10 @@ pub(crate) fn check_expr(e: &Expr) -> Result<()> {
 /// already run by the time this is called). Used on the plan-cache path so
 /// cached plans are built over folded literals.
 pub(crate) fn fold_query(q: &mut crate::ast::Query) {
-    for cte in &mut q.ctes {
-        fold_query(&mut cte.query);
-    }
-    fold_set_expr(&mut q.body);
-    for oi in &mut q.order_by {
-        let _ = fold_expr(&mut oi.expr, false);
-    }
-    if let Some(e) = &mut q.limit {
-        let _ = fold_expr(e, false);
-    }
-    if let Some(e) = &mut q.offset {
-        let _ = fold_expr(e, false);
-    }
-}
-
-fn fold_set_expr(body: &mut crate::ast::SetExpr) {
-    use crate::ast::{SelectItem, SetExpr, TableRef};
-    match body {
-        SetExpr::Union { left, right, .. } => {
-            fold_set_expr(left);
-            fold_set_expr(right);
+    q.walk_mut(&mut |part| match part {
+        QueryPart::Expr(e) | QueryPart::Limit(e) => {
+            let _ = fold_expr(e, false);
         }
-        SetExpr::Select(select) => {
-            for item in &mut select.projection {
-                if let SelectItem::Expr { expr, .. } = item {
-                    let _ = fold_expr(expr, false);
-                }
-            }
-            fn fold_tref(tref: &mut TableRef) {
-                match tref {
-                    TableRef::Named { .. } => {}
-                    TableRef::Derived { query, .. } => fold_query(query),
-                    TableRef::Join {
-                        left, right, on, ..
-                    } => {
-                        fold_tref(left);
-                        fold_tref(right);
-                        if let Some(cond) = on {
-                            let _ = fold_expr(cond, false);
-                        }
-                    }
-                }
-            }
-            for tref in &mut select.from {
-                fold_tref(tref);
-            }
-            if let Some(sel) = &mut select.selection {
-                let _ = fold_expr(sel, false);
-            }
-            for g in &mut select.group_by {
-                let _ = fold_expr(g, false);
-            }
-            if let Some(h) = &mut select.having {
-                let _ = fold_expr(h, false);
-            }
-        }
-    }
+        QueryPart::Cte(q) | QueryPart::Derived(q) => fold_query(q),
+    });
 }

@@ -2,22 +2,23 @@
 //! diagnostics over the AST, *before* planning or execution.
 //!
 //! The analyzer mirrors the planner's pipeline step for step — CTE frames,
-//! FROM-scope construction, wildcard expansion, the aggregate rewrite with
-//! `#g`/`#a` markers, window markers, projection naming, and the ORDER BY
-//! output-scope-then-fallback resolution — so that a query which passes
-//! [`check_statement`] binds and plans the same way it was checked. On top
+//! FROM-scope construction, wildcard expansion, projection naming, and the
+//! ORDER BY output-scope-then-fallback resolution — and calls the planner's
+//! own aggregate (`#g`/`#a`) and window (`#w`) marker rewrites, so that a
+//! query which passes [`check_statement`] binds and plans the same way it
+//! was checked. On top
 //! of the planner's structural rules it adds what binding alone cannot see:
 //!
 //! * bottom-up **type inference** using the declared column types in the
 //!   catalog (rows are coerced to their declared types on insert, so the
-//!   static types are trustworthy) and the same [`coerce`] table the runtime
+//!   static types are trustworthy) and the same `coerce` table the runtime
 //!   evaluator dispatches through;
 //! * **misuse diagnostics** with byte spans: unknown/ambiguous columns,
 //!   aggregates in WHERE/GROUP BY, nested aggregates, window functions
 //!   outside the SELECT list, non-grouped column references, arity and
 //!   type errors;
 //! * **constant-expression errors** (`SELECT 1/0`) caught at check time by
-//!   the strictness-aware folder in [`fold`].
+//!   the strictness-aware folder in `fold`.
 //!
 //! Typing is deliberately lenient wherever the engine is dynamically typed:
 //! `Any` (untyped columns, parameters, `NULL`) passes everywhere, and only
@@ -37,7 +38,7 @@ use crate::ast::{
 use crate::catalog::Catalog;
 use crate::error::{EngineError, Result, Span};
 use crate::expr::{coerce, BinCoercion, ColLabel, ScalarFunc, Scope};
-use crate::plan::{collect_aggregates, collect_windows, display_name, replace_subtree};
+use crate::plan::{display_name, rewrite_aggregates, rewrite_windows};
 use crate::value::{DataType, Value};
 
 /// The result of a successful static check.
@@ -374,90 +375,37 @@ impl<'a> Analyzer<'a> {
             }
         }
 
-        // 4. Aggregation (same trigger as the planner).
-        let has_aggregates = !select.group_by.is_empty()
-            || proj_items.iter().any(|(e, _)| e.contains_aggregate())
-            || select
-                .having
-                .as_ref()
-                .is_some_and(|h| h.contains_aggregate());
+        // 4. Aggregation: the planner's own rewrite into `#g`/`#a` markers;
+        //    the analyzer types the output labels.
         let mut order_items: Vec<OrderItem> = order_by.to_vec();
         let mut having = select.having.clone();
         let pre_group_scope;
         let mut grouped: Option<&Scope> = None;
-
-        if has_aggregates {
+        let rewrite = rewrite_aggregates(
+            &select.group_by,
+            &mut proj_items,
+            having.as_mut(),
+            &mut order_items,
+        );
+        if let Some((agg_exprs, labels)) = rewrite {
             // GROUP BY expressions check over the input scope; aggregates
             // and windows inside them are rejected by `infer`.
-            let mut group_types = Vec::with_capacity(select.group_by.len());
+            let mut types = Vec::with_capacity(labels.len());
             for g in &select.group_by {
-                group_types.push(self.infer(g, &scope, Ctx::clause(Clause::GroupBy))?);
+                types.push(self.infer(g, &scope, Ctx::clause(Clause::GroupBy))?);
                 fold::check_expr(g)?;
             }
-
-            // Collect aggregate calls (structurally deduplicated) from the
-            // projection, HAVING, and ORDER BY — exactly what the planner
-            // turns into aggregate output columns.
-            let mut agg_exprs: Vec<Expr> = Vec::new();
-            for (e, _) in &proj_items {
-                collect_aggregates(e, &mut agg_exprs);
-            }
-            if let Some(h) = &having {
-                collect_aggregates(h, &mut agg_exprs);
-            }
-            for oi in &order_items {
-                collect_aggregates(&oi.expr, &mut agg_exprs);
-            }
-            let mut agg_types = Vec::with_capacity(agg_exprs.len());
             for a in &agg_exprs {
                 let Expr::Aggregate {
                     func, arg, span, ..
                 } = a
                 else {
-                    unreachable!("collect_aggregates yields aggregate nodes")
+                    unreachable!("rewrite_aggregates yields aggregate nodes")
                 };
-                agg_types.push(self.aggregate_type(*func, arg.as_deref(), &scope, *span)?);
+                types.push(self.aggregate_type(*func, arg.as_deref(), &scope, *span)?);
             }
-
-            // Aggregate output scope: group keys keep their labels when they
-            // are simple columns; synthesized keys and aggregates get typed
-            // `#g{i}` / `#a{i}` markers (mirrors `plan_aggregate`).
-            let mut labels = Vec::with_capacity(group_types.len() + agg_types.len());
-            for (i, (g, ty)) in select.group_by.iter().zip(&group_types).enumerate() {
-                match g {
-                    Expr::Column {
-                        qualifier, name, ..
-                    } => labels.push(ColLabel::new(qualifier.as_deref(), name).with_ty(*ty)),
-                    _ => labels.push(ColLabel::bare(&format!("#g{i}")).with_ty(*ty)),
-                }
-            }
-            for (i, ty) in agg_types.iter().enumerate() {
-                labels.push(ColLabel::bare(&format!("#a{i}")).with_ty(*ty));
-            }
-            let out_scope = Scope::new(labels);
-
-            let rewrite = |e: &mut Expr| {
-                for (i, g) in select.group_by.iter().enumerate() {
-                    let replacement = match g {
-                        Expr::Column { .. } => g.clone(),
-                        _ => Expr::col(format!("#g{i}")),
-                    };
-                    replace_subtree(e, g, &replacement);
-                }
-                for (i, a) in agg_exprs.iter().enumerate() {
-                    replace_subtree(e, a, &Expr::col(format!("#a{i}")));
-                }
-            };
-            for (e, _) in proj_items.iter_mut() {
-                rewrite(e);
-            }
-            if let Some(h) = having.as_mut() {
-                rewrite(h);
-            }
-            for oi in order_items.iter_mut() {
-                rewrite(&mut oi.expr);
-            }
-
+            let labels = labels.into_iter().zip(types);
+            let out_scope = Scope::new(labels.map(|(l, ty)| l.with_ty(ty)).collect());
             pre_group_scope = std::mem::replace(&mut scope, out_scope);
             grouped = Some(&pre_group_scope);
         } else if let Some(h) = &select.having {
@@ -478,23 +426,19 @@ impl<'a> Analyzer<'a> {
             fold::check_expr(h)?;
         }
 
-        // 6. Window functions: collected from the projection only (mirrors
-        //    the planner), children check over the current scope, then each
-        //    window becomes a typed `#w` marker in projection and ORDER BY.
-        //    Any window the analyzer later *encounters* during inference is
-        //    therefore misplaced.
-        let mut window_specs: Vec<Expr> = Vec::new();
-        for (e, _) in &proj_items {
-            collect_windows(e, &mut window_specs);
-        }
-        for w in window_specs.clone() {
+        // 6. Window functions: the planner's own rewrite into `#w` markers
+        //    over the projection and ORDER BY; children check over the
+        //    current scope. Any window the analyzer later *encounters*
+        //    during inference is therefore misplaced.
+        let (windows, labels) = rewrite_windows(&mut proj_items, &mut order_items, scope.len());
+        for w in &windows {
             let Expr::WindowRowNumber {
                 partition_by,
                 order_by: worder,
                 ..
-            } = &w
+            } = w
             else {
-                unreachable!("collect_windows yields window nodes")
+                unreachable!("rewrite_windows yields window nodes")
             };
             let wctx = Ctx {
                 in_window: true,
@@ -507,18 +451,9 @@ impl<'a> Analyzer<'a> {
             for oi in worder {
                 self.infer(&oi.expr, &scope, wctx)?;
             }
-            let marker = format!("#w{}", scope.len());
-            scope
-                .labels
-                .push(ColLabel::bare(&marker).with_ty(DataType::Integer));
-            let replacement = Expr::col(marker);
-            for (e, _) in proj_items.iter_mut() {
-                replace_subtree(e, &w, &replacement);
-            }
-            for oi in order_items.iter_mut() {
-                replace_subtree(&mut oi.expr, &w, &replacement);
-            }
         }
+        let labels = labels.into_iter().map(|l| l.with_ty(DataType::Integer));
+        scope.labels.extend(labels);
 
         // 7. Projection: infer each output type and derive output names the
         //    same way the planner does.

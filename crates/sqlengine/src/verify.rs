@@ -730,52 +730,7 @@ impl Checker<'_> {
                     );
                 }
             }
-            PhysExpr::Literal(_) => {}
-            PhysExpr::Unary { expr, .. }
-            | PhysExpr::IsNull { expr, .. }
-            | PhysExpr::Cast { expr, .. } => self.expr(node, expr, width),
-            PhysExpr::Binary { left, right, .. } => {
-                self.expr(node, left, width);
-                self.expr(node, right, width);
-            }
-            PhysExpr::InList { expr, list, .. } => {
-                self.expr(node, expr, width);
-                for i in list {
-                    self.expr(node, i, width);
-                }
-            }
-            PhysExpr::Between {
-                expr, low, high, ..
-            } => {
-                self.expr(node, expr, width);
-                self.expr(node, low, width);
-                self.expr(node, high, width);
-            }
-            PhysExpr::Like { expr, pattern, .. } => {
-                self.expr(node, expr, width);
-                self.expr(node, pattern, width);
-            }
-            PhysExpr::Case {
-                operand,
-                branches,
-                else_expr,
-            } => {
-                if let Some(o) = operand {
-                    self.expr(node, o, width);
-                }
-                for (w, t) in branches {
-                    self.expr(node, w, width);
-                    self.expr(node, t, width);
-                }
-                if let Some(el) = else_expr {
-                    self.expr(node, el, width);
-                }
-            }
-            PhysExpr::Function { args, .. } => {
-                for a in args {
-                    self.expr(node, a, width);
-                }
-            }
+            _ => e.visit_children(&mut |c| self.expr(node, c, width)),
         }
     }
 }
@@ -925,9 +880,7 @@ pub(crate) fn check_mode_labels(plan: &PhysPlan, checker_violations: &mut Vec<Vi
             ),
         });
     }
-    for child in plan_children(plan) {
-        check_mode_labels(child, checker_violations);
-    }
+    plan.for_each_child(|c| check_mode_labels(c, checker_violations));
 }
 
 fn mode_name(mode: Option<bool>) -> &'static str {
@@ -935,27 +888,6 @@ fn mode_name(mode: Option<bool>) -> &'static str {
         Some(true) => "vectorized",
         Some(false) => "row",
         None => "none (no vectorized variant)",
-    }
-}
-
-fn plan_children(plan: &PhysPlan) -> Vec<&PhysPlan> {
-    match plan {
-        PhysPlan::Scan { .. }
-        | PhysPlan::VirtualScan { .. }
-        | PhysPlan::IndexScan { .. }
-        | PhysPlan::OneRow => Vec::new(),
-        PhysPlan::Filter { input, .. }
-        | PhysPlan::Project { input, .. }
-        | PhysPlan::Aggregate { input, .. }
-        | PhysPlan::Window { input, .. }
-        | PhysPlan::Sort { input, .. }
-        | PhysPlan::Limit { input, .. }
-        | PhysPlan::Distinct { input } => vec![input],
-        PhysPlan::HashJoin { left, right, .. } | PhysPlan::NestedLoopJoin { left, right, .. } => {
-            vec![left, right]
-        }
-        PhysPlan::IndexJoin { probe, inner, .. } => vec![probe, inner],
-        PhysPlan::UnionAll { inputs } => inputs.iter().collect(),
     }
 }
 

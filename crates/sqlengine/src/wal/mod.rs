@@ -32,7 +32,7 @@
 //! [`SyncPolicy::Always`]): instead of appending + fsyncing inline, a
 //! statement *enqueues* its encoded frame under the catalog lock (so queue
 //! order still equals mutation order) and receives a sequence ticket; after
-//! releasing the lock it blocks in [`Wal::wait_durable`], where the first
+//! releasing the lock it blocks in `Wal::wait_durable`, where the first
 //! waiter becomes the flush leader and writes every queued frame with a
 //! single append + fsync. Overlapping writers therefore share one fsync,
 //! while strictly serial traffic degenerates to exactly today's one fsync

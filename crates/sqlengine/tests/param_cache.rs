@@ -81,6 +81,103 @@ fn cached_templates_match_cache_off_across_param_values() {
         (0, 0),
         "cache-off engine never caches"
     );
+
+    // A `?` in every other expression slot and nested query body: cached
+    // or replanned (see `cacheability_per_param_slot`), the rows must match
+    // the cache-off engine for each binding.
+    for (_, sql, bindings) in SLOT_CASES {
+        for params in *bindings {
+            let params: Vec<Value> = params.iter().map(|&i| Value::Int(i)).collect();
+            let a = cached.query_with(sql, &params).unwrap();
+            let b = fresh.query_with(sql, &params).unwrap();
+            assert_eq!(a, b, "{sql} with {params:?}");
+        }
+    }
+}
+
+/// One statement per position a `?` can occupy, labelled by that position,
+/// with two integer bindings each.
+const SLOT_CASES: &[(&str, &str, &[&[i64]])] = &[
+    (
+        "join on",
+        "SELECT a.n FROM t a JOIN t b ON a.n = b.n + ? WHERE a.n < 6 ORDER BY a.n",
+        &[&[1], &[3]],
+    ),
+    (
+        "group by",
+        "SELECT MIN(n), COUNT(*) FROM t GROUP BY n % ? ORDER BY 1",
+        &[&[3], &[7]],
+    ),
+    (
+        "having",
+        "SELECT s, COUNT(*) FROM t GROUP BY s HAVING COUNT(*) > ? ORDER BY s",
+        &[&[11], &[12]],
+    ),
+    (
+        "order by",
+        "SELECT n FROM t WHERE n < 10 ORDER BY n % ?, n",
+        &[&[3], &[4]],
+    ),
+    (
+        "case",
+        "SELECT n, CASE WHEN n < ? THEN s ELSE 'x' END FROM t WHERE n < 6 ORDER BY n",
+        &[&[2], &[4]],
+    ),
+    (
+        "derived table",
+        "SELECT d.n FROM (SELECT n FROM t WHERE n < ?) d ORDER BY d.n",
+        &[&[3], &[5]],
+    ),
+    (
+        "cte body",
+        "WITH c AS (SELECT n FROM t WHERE n < ?) SELECT n FROM c ORDER BY n",
+        &[&[3], &[5]],
+    ),
+    (
+        "scalar subquery",
+        "SELECT n FROM t WHERE n = (SELECT MAX(n) FROM t WHERE n < ?)",
+        &[&[10], &[50]],
+    ),
+    (
+        "in subquery",
+        "SELECT n FROM t WHERE n IN (SELECT n + 1 FROM t WHERE n < ?) ORDER BY n",
+        &[&[3], &[5]],
+    ),
+    (
+        "exists",
+        "SELECT COUNT(*) FROM t WHERE EXISTS (SELECT 1 FROM t WHERE n = ?)",
+        &[&[5], &[500]],
+    ),
+];
+
+/// Which `?` positions a cached template can keep symbolic. Subquery bodies
+/// are planned and executed during planning, and `materialize_ctes`
+/// (profile B) evaluates CTE bodies during planning too, so those replan on
+/// every call; every other slot binds into the cached template.
+#[test]
+fn cacheability_per_param_slot() {
+    for (profile, config, cte_cached) in [
+        ("A", EngineConfig::profile_a(), true),
+        ("B", EngineConfig::profile_b(), false),
+    ] {
+        let db = seeded(config);
+        for (slot, sql, bindings) in SLOT_CASES {
+            let expect_hit = match *slot {
+                "scalar subquery" | "in subquery" | "exists" => false,
+                "cte body" => cte_cached,
+                _ => true,
+            };
+            let run = |i: usize| {
+                let params: Vec<Value> = bindings[i].iter().map(|&v| Value::Int(v)).collect();
+                db.query_with(sql, &params).unwrap();
+            };
+            run(0);
+            let (hits, _) = db.plan_cache_stats();
+            run(1);
+            let hit = db.plan_cache_stats().0 == hits + 1;
+            assert_eq!(hit, expect_hit, "profile {profile}, `?` in {slot}: {sql}");
+        }
+    }
 }
 
 #[test]

@@ -526,4 +526,20 @@ fn having_with_aggregate_not_in_projection() {
         .query("SELECT g FROM t GROUP BY g HAVING SUM(w) > 4 AND COUNT(*) >= 2")
         .unwrap();
     assert_eq!(r.rows, vec![vec![v_s("b")]]);
+
+    // An aggregate on the scalar side of `IN (subquery)` makes the query
+    // aggregating, in the projection and in HAVING alike.
+    let db = Database::new();
+    db.execute_script(
+        "CREATE TABLE t (k TEXT, v INTEGER);
+         INSERT INTO t VALUES ('a', 1), ('a', 2), ('b', 3);",
+    )
+    .unwrap();
+    for sql in [
+        "SELECT SUM(v) IN (SELECT 6) FROM t",
+        "SELECT 1 FROM t HAVING SUM(v) IN (SELECT 6)",
+    ] {
+        db.check(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        assert_eq!(db.query(sql).unwrap().rows, vec![vec![v_i(1)]], "{sql}");
+    }
 }
